@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import multiprocessing
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from bbnet import measures
 from bbnet.codec import (
@@ -77,79 +79,42 @@ def _int_list(text: str) -> list[int]:
         raise ValidationError(f"expected comma-separated integers, got {text!r}")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key = value config file")
-    sub.add_argument("--seed", type=int, help="master seed (also via BBNET_SEED)")
-    sub.add_argument("--out", help="output directory (default: out)")
-    sub.add_argument("--budget", type=int, help="machine step budget per run")
-    sub.add_argument("--jobs", type=int, help="worker processes (outputs unaffected)")
+class _Option(NamedTuple):
+    """One command option: ``name`` is its flag, its config-file key and its fingerprint key."""
+
+    name: str
+    parse: Callable[[str], object] = int
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="bbnet", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    bb = subs.add_parser("bb", help="exhaustive busy-beaver table")
-    bb.add_argument("--max-bits", type=int, help="largest program length to enumerate")
-    _add_common(bb)
-
-    tvg = subs.add_parser("tvg", help="generate a small-diameter graph instance")
-    tvg.add_argument("--family", choices=FAMILIES)
-    tvg.add_argument("--n", type=int, help="vertex count")
-    _add_common(tvg)
-
-    run_p = subs.add_parser("run", help="one networked protocol run")
-    run_p.add_argument("--family", choices=FAMILIES)
-    run_p.add_argument("--tvg-file", help="load the graph from a file instead of a family")
-    run_p.add_argument("--n", type=int, help="vertex count")
-    run_p.add_argument("--w", help="input program bits")
-    run_p.add_argument("--cycles", type=int, help="cycle count (default: the minimum)")
-    run_p.add_argument("--warmup", type=int, help="warm-up cycles before imitation")
-    run_p.add_argument("--selector", help="halt-test | identity | custom:<bits>")
-    run_p.add_argument("--halting-label")
-    run_p.add_argument("--nonhalting-label")
-    run_p.add_argument("--max-bits", type=int, help="program sampling length cap")
-    _add_common(run_p)
-
-    sweep = subs.add_parser("halting-sweep", help="accuracy vs population size")
-    sweep.add_argument("--bb-table", required=True, help="bb.csv for certification bounds")
-    sweep.add_argument("--n-list", help="comma-separated population sizes")
-    sweep.add_argument("--trials", type=int, help="runs per population size")
-    sweep.add_argument("--w-max-bits", type=int, help="sweep all valid programs up to this length")
-    sweep.add_argument("--family", choices=FAMILIES)
-    sweep.add_argument("--warmup", type=int)
-    sweep.add_argument("--max-bits", type=int, help="program sampling length cap")
-    sweep.add_argument("--resume", action="store_true", help="keep completed rows in sweep.csv")
-    _add_common(sweep)
-
-    syn = subs.add_parser("synergy", help="local synergy against isolated runs")
-    syn.add_argument("--x", type=int, help="required synergy level")
-    syn.add_argument("--trials", type=int)
-    syn.add_argument("--n", type=int, help="vertex count")
-    syn.add_argument("--family", choices=FAMILIES)
-    syn.add_argument("--w", help="input program bits")
-    syn.add_argument("--label-bits", type=int)
-    syn.add_argument("--budget-bits", type=int, help="complexity search length cap")
-    syn.add_argument("--budget-steps", type=int, help="complexity search step cap")
-    syn.add_argument("--max-bits", type=int, help="program sampling length cap")
-    syn.add_argument("--warmup", type=int)
-    _add_common(syn)
-
-    central = subs.add_parser("central", help="find a fastest-answering node")
-    central.add_argument("--family", choices=FAMILIES)
-    central.add_argument("--n", type=int)
-    central.add_argument("--w", help="input program bits")
-    central.add_argument("--warmup", type=int)
-    central.add_argument("--max-bits", type=int, help="program sampling length cap")
-    _add_common(central)
-
-    return parser
+_OUT = _Option("out", str, "out", "output directory (default: out)")
+_JOBS = _Option("jobs", int, 1, "worker processes (outputs unaffected)")
+_W = _Option("w", str, "1", "input program bits")
+# The options of every command that samples a population and runs the protocol.
+_PROTOCOL = (
+    _Option("warmup", int, 0, "warm-up cycles before imitation"),
+    _Option("max_bits", int, DEFAULT_MAX_PROGRAM_BITS, "program sampling length cap"),
+    _Option("budget", int, DEFAULT_BUDGET, "machine step budget per run"),
+)
 
 
-def _outdir(args, file_values) -> str:
-    out = merge_option(getattr(args, "out", None), file_values, "out", str, "out")
-    os.makedirs(out, exist_ok=True)
+def _create_out(out: str) -> str:
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {out}: {exc}")
     return out
+
+
+def _map(fn, items, jobs: int):
+    """``fn`` over ``items``, in order, on ``jobs`` worker processes when jobs > 1."""
+    if jobs > 1 and items:
+        with multiprocessing.Pool(jobs) as pool:
+            yield from pool.imap(fn, items, chunksize=1)
+    else:
+        yield from map(fn, items)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -158,131 +123,102 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _validate_program_bits(name: str, bits: str) -> str:
+def _validate_program_bits(name: str, bits: str) -> None:
     if bits is None or any(c not in "01" for c in bits) or not bits:
         raise ValidationError(f"{name} must be a nonempty bit string, got {bits!r}")
     try:
         decode_exact(bits)
     except MalformedEncoding as exc:
         raise ValidationError(f"{name} is not a valid program encoding: {exc}")
-    return bits
 
 
-def cmd_bb(args, file_values) -> int:
-    seed = resolve_seed(args.seed, file_values)
-    max_bits = merge_option(args.max_bits, file_values, "max_bits", int, 16)
-    budget = merge_option(args.budget, file_values, "budget", int, 100_000)
-    if max_bits < 1 or budget < 1:
+def cmd_bb(o) -> int:
+    if o.max_bits < 1 or o.budget < 1:
         raise ValidationError("max_bits and budget must be positive")
-    out = _outdir(args, file_values)
-    params = {"command": "bb", "max_bits": max_bits, "budget": budget, "seed": seed}
-    table = busy_beaver_table(max_bits, budget)
-    table.write_csv(os.path.join(out, "bb.csv"), seed=seed, fingerprint=fingerprint(params))
-    unknown_total = sum(table.unknown_count(n) for n in range(1, max_bits + 1))
+    out = _create_out(o.out)
+    table = busy_beaver_table(o.max_bits, o.budget)
+    table.write_csv(os.path.join(out, "bb.csv"), seed=o.seed, fingerprint=fingerprint(o.params))
+    unknown_total = sum(table.unknown_count(n) for n in range(1, o.max_bits + 1))
     print(
-        f"bb: lengths 1..{max_bits}, value({max_bits})={table.value(max_bits)}, "
+        f"bb: lengths 1..{o.max_bits}, value({o.max_bits})={table.value(o.max_bits)}, "
         f"{unknown_total} unresolved -> {out}/bb.csv"
     )
     return 0
 
 
-def cmd_tvg(args, file_values) -> int:
-    seed = resolve_seed(args.seed, file_values)
-    family = merge_option(args.family, file_values, "family", str, "replicated-hypercube")
-    n = merge_option(args.n, file_values, "n", int, 16)
-    out = _outdir(args, file_values)
-    params = {"command": "tvg", "family": family, "n": n, "seed": seed}
-    graph = small_diameter_tvg(family, n, seed)
+def cmd_tvg(o) -> int:
+    out = _create_out(o.out)
+    graph = small_diameter_tvg(o.family, o.n, o.seed)
     write_tvg(graph, os.path.join(out, "tvg.txt"))
     diameter = diffusion_diameter(graph)
     report = {
-        "seed": seed,
-        "fingerprint": fingerprint(params),
-        "family": family,
+        "seed": o.seed,
+        "fingerprint": fingerprint(o.params),
+        "family": o.family,
         "num_vertices": graph.num_vertices,
         "num_instants": graph.num_instants,
         "num_arcs": len(graph.arcs),
         "diffusion_diameter": diameter,
-        "reverse_reach": [reverse_reach_time(graph, v) for v in range(n)],
-        "centrality": [reachability_centrality(graph, v) for v in range(n)],
+        "reverse_reach": [reverse_reach_time(graph, v) for v in range(o.n)],
+        "centrality": [reachability_centrality(graph, v) for v in range(o.n)],
     }
     _write_json(os.path.join(out, "tvg_report.json"), report)
-    print(f"tvg: {family} n={n} diameter={diameter} -> {out}/tvg.txt")
+    print(f"tvg: {o.family} n={o.n} diameter={diameter} -> {out}/tvg.txt")
     return 0
 
 
-def _resolve_labels(args, file_values) -> Labels:
-    halting = merge_option(
-        getattr(args, "halting_label", None), file_values, "halting_label", str, "1"
-    )
-    nonhalting = merge_option(
-        getattr(args, "nonhalting_label", None), file_values, "nonhalting_label", str, "0"
-    )
-    labels = Labels(halting, nonhalting)
+def cmd_run(o) -> int:
+    _validate_program_bits("w", o.w)
+    labels = Labels(o.halting_label, o.nonhalting_label)
     try:
         labels.validate()
-    except ValueError as exc:
-        raise ValidationError(str(exc))
-    return labels
-
-
-def cmd_run(args, file_values) -> int:
-    seed = resolve_seed(args.seed, file_values)
-    family = merge_option(args.family, file_values, "family", str, "replicated-hypercube")
-    n = merge_option(args.n, file_values, "n", int, 16)
-    w = _validate_program_bits("w", merge_option(args.w, file_values, "w", str, "1"))
-    budget = merge_option(args.budget, file_values, "budget", int, DEFAULT_BUDGET)
-    warmup = merge_option(args.warmup, file_values, "warmup", int, 0)
-    max_bits = merge_option(args.max_bits, file_values, "max_bits", int, DEFAULT_MAX_PROGRAM_BITS)
-    selector_text = merge_option(args.selector, file_values, "selector", str, "halt-test")
-    tvg_file = merge_option(args.tvg_file, file_values, "tvg_file", str, None)
-    labels = _resolve_labels(args, file_values)
-    try:
-        selector = parse_selector(selector_text)
+        selector = parse_selector(o.selector)
     except (ValueError, MalformedEncoding) as exc:
         raise ValidationError(str(exc))
-    out = _outdir(args, file_values)
 
-    if tvg_file is not None:
-        graph = read_tvg(tvg_file)
-        n = graph.num_vertices
-        graph_source = os.path.basename(tvg_file)
+    if o.tvg_file is not None:
+        try:
+            graph = read_tvg(o.tvg_file)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read tvg file {o.tvg_file}: {exc}")
+        n, graph_source = graph.num_vertices, os.path.basename(o.tvg_file)
     else:
-        graph = small_diameter_tvg(family, n, seed)
-        graph_source = family
-    population = sample_population(n, mix_seed(seed, 1), max_bits)
-    assembly = assemble(graph, population, warmup)
-    cycles = merge_option(args.cycles, file_values, "cycles", int, assembly.minimum_cycles)
-    record = run_networked(assembly, w, budget, labels, selector, n_cycles=cycles)
+        graph = small_diameter_tvg(o.family, o.n, o.seed)
+        n, graph_source = o.n, o.family
+    out = _create_out(o.out)
+    population = sample_population(n, mix_seed(o.seed, 1), o.max_bits)
+    assembly = assemble(graph, population, o.warmup)
+    cycles = assembly.minimum_cycles if o.cycles is None else o.cycles
+    record = run_networked(assembly, o.w, o.budget, labels, selector, n_cycles=cycles)
 
-    params = {
-        "command": "run", "graph": graph_source, "n": n, "w": w, "budget": budget,
-        "warmup": warmup, "cycles": cycles, "selector": selector_text,
-        "labels": [labels.halting, labels.nonhalting], "max_bits": max_bits, "seed": seed,
-    }
+    # The graph stands in for its family or file, and the labels travel as one pair.
+    params = {**o.params, "graph": graph_source, "n": n, "cycles": cycles,
+              "labels": [labels.halting, labels.nonhalting]}
+    for key in ("family", "tvg_file", "halting_label", "nonhalting_label"):
+        del params[key]
     fp = fingerprint(params)
     _write_json(
         os.path.join(out, "run.json"),
         {
-            "seed": seed,
+            "seed": o.seed,
             "fingerprint": fp,
             "graph": graph_source,
             "num_vertices": n,
             "num_instants": graph.num_instants,
-            "w": w,
+            "w": o.w,
             "w_resolved": record.w_resolved,
             "reference_label": record.reference_label,
-            "budget": budget,
-            "warmup": warmup,
+            "budget": o.budget,
+            "warmup": o.warmup,
             "n_cycles": record.n_cycles,
-            "selector": selector_text,
+            "selector": o.selector,
             "labels": {"halting": labels.halting, "nonhalting": labels.nonhalting},
             "x_max": record.x_max,
             "fraction_correct": record.fraction_correct,
         },
     )
     with open(os.path.join(out, "nodes.csv"), "w", newline="") as fh:
-        fh.write(f"# seed={seed} fingerprint={fp}\n")
+        fh.write(f"# seed={o.seed} fingerprint={fp}\n")
         writer = csv.writer(fh)
         writer.writerow(
             ["node_id", "vertex", "program_bits", "first_kind", "first_fitness",
@@ -300,16 +236,15 @@ def cmd_run(args, file_values) -> int:
     return 0
 
 
-def _sweep_task(payload):
-    (n, trial, seed, family, w_list, budget, max_bits, warmup,
-     bb_values, bb_resolved, bb_max_bits) = payload
-    task_seed = mix_seed(seed, n, trial)
-    graph = small_diameter_tvg(family, n, task_seed)
-    population = sample_population(n, task_seed, max_bits)
-    assembly = assemble(graph, population, warmup)
+def _sweep_task(o, w_list, bb_values, bb_resolved, key):
+    n, trial = key
+    task_seed = mix_seed(o.seed, n, trial)
+    graph = small_diameter_tvg(o.family, n, task_seed)
+    population = sample_population(n, task_seed, o.max_bits)
+    assembly = assemble(graph, population, o.warmup)
     rows = []
     for w in w_list:
-        record = run_networked(assembly, w, budget)
+        record = run_networked(assembly, w, o.budget)
         witness_bits = len(w) + RUNTIME_WITNESS_OVERHEAD
         bb_value = bb_values.get(witness_bits)
         certified = bool(
@@ -342,14 +277,13 @@ _SWEEP_COLUMNS = [
 ]
 
 
-def _load_sweep_rows(path, w_list):
-    """Rows of a previous (possibly partial) sweep, grouped by completed task."""
+def _load_sweep_rows(path, comment, w_list):
+    """Completed tasks of an earlier sweep.csv, if its first line is ``comment``."""
     tasks: dict[tuple[int, int], list[dict]] = {}
     try:
         with open(path, newline="") as fh:
-            first = fh.readline()
-            if not first.startswith("#"):
-                fh.seek(0)
+            if fh.readline() != comment:
+                return {}
             for row in csv.DictReader(fh):
                 tasks.setdefault((int(row["n"]), int(row["trial"])), []).append(row)
     except FileNotFoundError:
@@ -360,75 +294,55 @@ def _load_sweep_rows(path, w_list):
     }
 
 
-def cmd_halting_sweep(args, file_values) -> int:
-    seed = resolve_seed(args.seed, file_values)
-    n_list = merge_option(args.n_list and _int_list(args.n_list), file_values, "n_list",
-                          _int_list, [16, 32, 64])
-    trials = merge_option(args.trials, file_values, "trials", int, 50)
-    w_max_bits = merge_option(args.w_max_bits, file_values, "w_max_bits", int, 6)
-    family = merge_option(args.family, file_values, "family", str, "star-broadcast")
-    budget = merge_option(args.budget, file_values, "budget", int, DEFAULT_BUDGET)
-    warmup = merge_option(args.warmup, file_values, "warmup", int, 0)
-    max_bits = merge_option(args.max_bits, file_values, "max_bits", int, DEFAULT_MAX_PROGRAM_BITS)
-    jobs = merge_option(args.jobs, file_values, "jobs", int, 1)
-    if trials < 1 or not n_list or min(n_list) < 2:
+def cmd_halting_sweep(o) -> int:
+    if o.trials < 1 or not o.n_list or min(o.n_list) < 2:
         raise ValidationError("need trials >= 1 and population sizes >= 2")
-    out = _outdir(args, file_values)
     try:
-        table = BusyBeaverTable.read_csv(args.bb_table)
+        table = BusyBeaverTable.read_csv(o.bb_table)
     except (OSError, KeyError, ValueError) as exc:
-        raise ValidationError(f"cannot read bb table {args.bb_table}: {exc}")
-    if budget + 2 > table.budget:
+        raise ValidationError(f"cannot read bb table {o.bb_table}: {exc}")
+    if o.budget + 2 > table.budget:
         raise ValidationError(
-            f"sweep budget {budget} needs a bb table built with budget >= {budget + 2} "
+            f"sweep budget {o.budget} needs a bb table built with budget >= {o.budget + 2} "
             f"(got {table.budget}) for certification to be sound"
         )
-    w_list = [p.bits for p in all_programs(w_max_bits)]
+    out = _create_out(o.out)
+    w_list = [p.bits for p in all_programs(o.w_max_bits)]
     bb_resolved = {
         length: table.resolved_through(length) for length in range(1, table.max_bits + 1)
     }
 
-    params = {
-        "command": "halting-sweep", "n_list": n_list, "trials": trials,
-        "w_max_bits": w_max_bits, "family": family, "budget": budget,
-        "warmup": warmup, "max_bits": max_bits, "seed": seed,
-        "bb_budget": table.budget, "bb_max_bits": table.max_bits,
-    }
+    params = {**o.params, "bb_budget": table.budget, "bb_max_bits": table.max_bits}
     fp = fingerprint(params)
+    comment = f"# seed={o.seed} fingerprint={fp}\n"
     sweep_path = os.path.join(out, "sweep.csv")
 
-    completed = _load_sweep_rows(sweep_path, w_list) if args.resume else {}
-    tasks = [(n, trial) for n in n_list for trial in range(trials)]
-    payloads = [
-        (n, trial, seed, family, w_list, budget, max_bits, warmup,
-         table.values, bb_resolved, table.max_bits)
-        for (n, trial) in tasks if (n, trial) not in completed
-    ]
+    completed = _load_sweep_rows(sweep_path, comment, w_list) if o.resume else {}
+    tasks = [(n, trial) for n in o.n_list for trial in range(o.trials)]
+    todo = [key for key in tasks if key not in completed]
 
     def flush() -> None:
-        with open(sweep_path, "w", newline="") as fh:
-            fh.write(f"# seed={seed} fingerprint={fp}\n")
+        # A crash mid-write must leave the earlier rows in place for --resume.
+        staged = sweep_path + ".partial"
+        with open(staged, "w", newline="") as fh:
+            fh.write(comment)
             writer = csv.DictWriter(fh, fieldnames=_SWEEP_COLUMNS)
             writer.writeheader()
             for key in tasks:
                 if key in completed:
                     for row in completed[key]:
                         writer.writerow({col: row[col] for col in _SWEEP_COLUMNS})
+        os.replace(staged, sweep_path)
 
-    if jobs > 1 and payloads:
-        with multiprocessing.Pool(jobs) as pool:
-            for payload, rows in zip(payloads, pool.imap(_sweep_task, payloads, chunksize=1)):
-                completed[(payload[0], payload[1])] = rows
-                flush()
-    else:
-        for payload in payloads:
-            completed[(payload[0], payload[1])] = _sweep_task(payload)
-            flush()
-    if not payloads:
+    task = functools.partial(_sweep_task, o, w_list, table.values, bb_resolved)
+    for key, rows in zip(todo, _map(task, todo, o.jobs)):
+        completed[key] = rows
+        flush()
+    if not todo:
         flush()
 
     per_n = {}
-    for n in n_list:
+    for n in o.n_list:
         rows = [row for (task_n, _), task_rows in completed.items()
                 for row in task_rows if task_n == n]
         correct = sum(int(r["correct_nodes"]) for r in rows)
@@ -452,7 +366,7 @@ def cmd_halting_sweep(args, file_values) -> int:
             "literal_certified_rows": sum(int(r["literal_certified"]) for r in rows),
         }
     trend = []
-    for smaller, larger in zip(n_list, n_list[1:]):
+    for smaller, larger in zip(o.n_list, o.n_list[1:]):
         a, b = per_n[smaller], per_n[larger]
         band = 1.96 * (a["stderr"] ** 2 + b["stderr"] ** 2) ** 0.5
         all_band = 1.96 * (a["stderr_all_correct"] ** 2 + b["stderr_all_correct"] ** 2) ** 0.5
@@ -468,7 +382,7 @@ def cmd_halting_sweep(args, file_values) -> int:
             ),
         })
     summary = {
-        "seed": seed, "fingerprint": fp, "per_n": {str(k): v for k, v in per_n.items()},
+        "seed": o.seed, "fingerprint": fp, "per_n": {str(k): v for k, v in per_n.items()},
         "trend": trend, "w_count": len(w_list), "params": params,
         "certified_consistent": all(
             int(r["all_correct"]) == 1
@@ -478,32 +392,29 @@ def cmd_halting_sweep(args, file_values) -> int:
     _write_json(os.path.join(out, "sweep_summary.json"), summary)
     print(
         "halting-sweep: "
-        + ", ".join(f"n={n}: {per_n[n]['fraction_correct']:.4f}" for n in n_list)
+        + ", ".join(f"n={n}: {per_n[n]['fraction_correct']:.4f}" for n in o.n_list)
         + f" -> {out}/sweep.csv"
     )
     return 0
 
 
-def _synergy_task(payload):
-    (trial, seed, x, family, n, w, budget, warmup, max_bits,
-     halting, nonhalting, budget_bits, budget_steps) = payload
-    labels = Labels(halting, nonhalting)
-    task_seed = mix_seed(seed, 4242, trial)
-    graph = small_diameter_tvg(family, n, task_seed)
-    population = sample_population(n, task_seed, max_bits)
-    assembly = assemble(graph, population, warmup)
-    record = run_networked(assembly, w, budget, labels)
+def _synergy_task(o, labels, trial):
+    task_seed = mix_seed(o.seed, 4242, trial)
+    graph = small_diameter_tvg(o.family, o.n, task_seed)
+    population = sample_population(o.n, task_seed, o.max_bits)
+    assembly = assemble(graph, population, o.warmup)
+    record = run_networked(assembly, o.w, o.budget, labels)
     isolated = [
-        run_isolated(program, w, record.n_cycles, budget, labels)[-1]
+        run_isolated(program, o.w, record.n_cycles, o.budget, labels)[-1]
         for program in population
     ]
     cache = ComplexityCache()
     stats = measures.expected_local_synergy(
-        record, isolated, record.reference_label, budget_bits, budget_steps, cache
+        record, isolated, record.reference_label, o.budget_bits, o.budget_steps, cache
     )
     contributions = [
         measures.algorithmic_contribution(
-            outcome.final_output, iso, budget_bits, budget_steps, cache
+            outcome.final_output, iso, o.budget_bits, o.budget_steps, cache
         )
         for outcome, iso in zip(record.nodes, isolated)
     ]
@@ -524,56 +435,26 @@ def _synergy_task(payload):
     }, cache_rows
 
 
-def cmd_synergy(args, file_values) -> int:
-    seed = resolve_seed(args.seed, file_values)
-    x = merge_option(args.x, file_values, "x", int, 10)
-    trials = merge_option(args.trials, file_values, "trials", int, 3)
-    n = merge_option(args.n, file_values, "n", int, 32)
-    family = merge_option(args.family, file_values, "family", str, "star-broadcast")
-    w = _validate_program_bits("w", merge_option(args.w, file_values, "w", str, "1"))
-    budget = merge_option(args.budget, file_values, "budget", int, DEFAULT_BUDGET)
-    warmup = merge_option(args.warmup, file_values, "warmup", int, 0)
-    max_bits = merge_option(args.max_bits, file_values, "max_bits", int, DEFAULT_MAX_PROGRAM_BITS)
-    label_bits = merge_option(args.label_bits, file_values, "label_bits", int,
-                              measures.DEFAULT_LABEL_BITS)
-    budget_bits = merge_option(args.budget_bits, file_values, "budget_bits", int,
-                               measures.DEFAULT_BUDGET_BITS)
-    budget_steps = merge_option(args.budget_steps, file_values, "budget_steps", int,
-                                measures.DEFAULT_BUDGET_STEPS)
-    jobs = merge_option(args.jobs, file_values, "jobs", int, 1)
-    if x < 0 or trials < 1 or n < 2:
+def cmd_synergy(o) -> int:
+    _validate_program_bits("w", o.w)
+    if o.x < 0 or o.trials < 1 or o.n < 2:
         raise ValidationError("need x >= 0, trials >= 1, n >= 2")
-    out = _outdir(args, file_values)
+    out = _create_out(o.out)
 
     pick = pick_labels(
-        x, seed, label_bits=label_bits, budget_bits=budget_bits, budget_steps=budget_steps
+        o.x, o.seed, label_bits=o.label_bits, budget_bits=o.budget_bits, budget_steps=o.budget_steps
     )
-    params = {
-        "command": "synergy", "x": x, "trials": trials, "n": n, "family": family,
-        "w": w, "budget": budget, "warmup": warmup, "max_bits": max_bits,
-        "label_bits": label_bits, "budget_bits": budget_bits,
-        "budget_steps": budget_steps, "seed": seed,
-    }
-    fp = fingerprint(params)
-    payloads = [
-        (trial, seed, x, family, n, w, budget, warmup, max_bits,
-         pick.halting, pick.nonhalting, budget_bits, budget_steps)
-        for trial in range(trials)
-    ]
+    fp = fingerprint(o.params)
+    task = functools.partial(_synergy_task, o, Labels(pick.halting, pick.nonhalting))
     results = []
     cache_entries = {}
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            outcomes = pool.map(_synergy_task, payloads, chunksize=1)
-    else:
-        outcomes = [_synergy_task(p) for p in payloads]
-    for stats, cache_rows in outcomes:
+    for stats, cache_rows in _map(task, range(o.trials), o.jobs):
         results.append(stats)
         for target, given, value, method, witness in cache_rows:
             cache_entries.setdefault((target, given), (value, method, witness))
 
     with open(os.path.join(out, "complexity_cache.csv"), "w", newline="") as fh:
-        fh.write(f"# seed={seed} fingerprint={fp}\n")
+        fh.write(f"# seed={o.seed} fingerprint={fp}\n")
         writer = csv.writer(fh)
         writer.writerow(["target", "given", "value", "method", "witness"])
         for (target, given) in sorted(cache_entries, key=lambda k: (k[0], k[1] or "")):
@@ -586,11 +467,11 @@ def cmd_synergy(args, file_values) -> int:
         r["mean_synergy_correct"] for r in results if r["mean_synergy_correct"] is not None
     ]
     report = {
-        "seed": seed,
+        "seed": o.seed,
         "fingerprint": fp,
-        "x": x,
+        "x": o.x,
         "slack": slack_constant(),
-        "required_mean_synergy": x - slack_constant(),
+        "required_mean_synergy": o.x - slack_constant(),
         "labels": {
             "halting": pick.halting,
             "nonhalting": pick.nonhalting,
@@ -610,43 +491,33 @@ def cmd_synergy(args, file_values) -> int:
                 sum(r["fraction_correct"] for r in results) / len(results)
             ),
         },
-        "params": params,
+        "params": o.params,
     }
     _write_json(os.path.join(out, "synergy.json"), report)
     print(
-        f"synergy: x={x} labels=({pick.halting},{pick.nonhalting}) "
+        f"synergy: x={o.x} labels=({pick.halting},{pick.nonhalting}) "
         f"mean_correct={report['pooled']['mean_synergy_correct']} "
         f"fraction={report['pooled']['fraction_correct']:.3f} -> {out}/synergy.json"
     )
     return 0
 
 
-def cmd_central(args, file_values) -> int:
-    seed = resolve_seed(args.seed, file_values)
-    family = merge_option(args.family, file_values, "family", str, "replicated-random-regular")
-    n = merge_option(args.n, file_values, "n", int, 16)
-    w = _validate_program_bits("w", merge_option(args.w, file_values, "w", str, "1"))
-    budget = merge_option(args.budget, file_values, "budget", int, DEFAULT_BUDGET)
-    warmup = merge_option(args.warmup, file_values, "warmup", int, 0)
-    max_bits = merge_option(args.max_bits, file_values, "max_bits", int, DEFAULT_MAX_PROGRAM_BITS)
-    if n < 2:
+def cmd_central(o) -> int:
+    _validate_program_bits("w", o.w)
+    if o.n < 2:
         raise ValidationError("need n >= 2")
-    out = _outdir(args, file_values)
-    graph = small_diameter_tvg(family, n, seed)
-    population = sample_population(n, mix_seed(seed, 1), max_bits)
-    result = find_central_node(graph, population, w, budget, warmup=warmup)
-    params = {
-        "command": "central", "family": family, "n": n, "w": w, "budget": budget,
-        "warmup": warmup, "max_bits": max_bits, "seed": seed,
-    }
+    out = _create_out(o.out)
+    graph = small_diameter_tvg(o.family, o.n, o.seed)
+    population = sample_population(o.n, mix_seed(o.seed, 1), o.max_bits)
+    result = find_central_node(graph, population, o.w, o.budget, warmup=o.warmup)
     _write_json(
         os.path.join(out, "central.json"),
         {
-            "seed": seed,
-            "fingerprint": fingerprint(params),
-            "family": family,
-            "n": n,
-            "w": w,
+            "seed": o.seed,
+            "fingerprint": fingerprint(o.params),
+            "family": o.family,
+            "n": o.n,
+            "w": o.w,
             "vertex": result.vertex,
             "node": result.node,
             "c_min": result.c_min,
@@ -662,14 +533,85 @@ def cmd_central(args, file_values) -> int:
     return 0
 
 
-_HANDLERS = {
-    "bb": cmd_bb,
-    "tvg": cmd_tvg,
-    "run": cmd_run,
-    "halting-sweep": cmd_halting_sweep,
-    "synergy": cmd_synergy,
-    "central": cmd_central,
+# command -> (help, handler, options); --config, --seed and --out come with every command.
+_COMMANDS = {
+    "bb": ("exhaustive busy-beaver table", cmd_bb, (
+        _Option("max_bits", int, 16, "largest program length to enumerate"),
+        _Option("budget", int, 100_000, "machine step budget per run"),
+    )),
+    "tvg": ("generate a small-diameter graph instance", cmd_tvg, (
+        _Option("family", str, "replicated-hypercube", "graph family", FAMILIES),
+        _Option("n", int, 16, "vertex count"),
+    )),
+    "run": ("one networked protocol run", cmd_run, (
+        _Option("family", str, "replicated-hypercube", "graph family", FAMILIES),
+        _Option("tvg_file", str, None, "load the graph from a file instead of a family"),
+        _Option("n", int, 16, "vertex count"),
+        _W,
+        _Option("cycles", int, None, "cycle count (default: the minimum)"),
+        _Option("selector", str, "halt-test", "halt-test | identity | custom:<bits>"),
+        _Option("halting_label", str, "1"),
+        _Option("nonhalting_label", str, "0"),
+        *_PROTOCOL,
+    )),
+    "halting-sweep": ("accuracy vs population size", cmd_halting_sweep, (
+        _Option("n_list", _int_list, (16, 32, 64), "comma-separated population sizes"),
+        _Option("trials", int, 50, "runs per population size"),
+        _Option("w_max_bits", int, 6, "sweep all valid programs up to this length"),
+        _Option("family", str, "star-broadcast", "graph family", FAMILIES),
+        *_PROTOCOL,
+        _JOBS,
+    )),
+    "synergy": ("local synergy against isolated runs", cmd_synergy, (
+        _Option("x", int, 10, "required synergy level"),
+        _Option("trials", int, 3),
+        _Option("n", int, 32, "vertex count"),
+        _Option("family", str, "star-broadcast", "graph family", FAMILIES),
+        _W,
+        _Option("label_bits", int, measures.DEFAULT_LABEL_BITS),
+        _Option("budget_bits", int, measures.DEFAULT_BUDGET_BITS, "complexity search length cap"),
+        _Option("budget_steps", int, measures.DEFAULT_BUDGET_STEPS, "complexity search step cap"),
+        *_PROTOCOL,
+        _JOBS,
+    )),
+    "central": ("find a fastest-answering node", cmd_central, (
+        _Option("family", str, "replicated-random-regular", "graph family", FAMILIES),
+        _Option("n", int, 16, "vertex count"),
+        _W,
+        *_PROTOCOL,
+    )),
 }
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="bbnet", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, options) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--config", help="key = value config file")
+        sub.add_argument("--seed", type=int, help="master seed (also via BBNET_SEED)")
+        for option in (_OUT, *options):
+            sub.add_argument(
+                "--" + option.name.replace("_", "-"),
+                type=option.parse, choices=option.choices, help=option.help,
+            )
+    sweep = subs.choices["halting-sweep"]
+    sweep.add_argument("--bb-table", required=True, help="bb.csv for certification bounds")
+    sweep.add_argument("--resume", action="store_true", help="keep completed rows in sweep.csv")
+    return parser
+
+
+def _resolve(args, file_values: dict[str, str], options) -> argparse.Namespace:
+    """Each option once (flag, then config file, then default), plus the fingerprint params."""
+    values = {"seed": resolve_seed(args.seed, file_values)}
+    for option in (_OUT, *options):
+        values[option.name] = merge_option(
+            getattr(args, option.name), file_values, option.name, option.parse, option.default
+        )
+    params = {"command": args.command}
+    # Output location and parallelism never change a byte.
+    params.update((key, value) for key, value in values.items() if key not in ("out", "jobs"))
+    return argparse.Namespace(**{**vars(args), **values, "params": params})
 
 
 def main(argv=None) -> int:
@@ -677,7 +619,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         file_values = parse_config_file(args.config) if args.config else {}
-        return _HANDLERS[args.command](args, file_values)
+        _, handler, options = _COMMANDS[args.command]
+        return handler(_resolve(args, file_values, options))
     except (ValidationError, MalformedEncoding, InvalidArc, ConfigMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

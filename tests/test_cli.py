@@ -88,6 +88,40 @@ def test_sweep_rejects_budget_beyond_table(small_bb_csv, tmp_path, capsys):
     assert code == 1
 
 
+def test_missing_tvg_file_is_an_error(tmp_path, capsys):
+    assert main(["run", "--tvg-file", str(tmp_path / "missing.txt"),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_tvg_file_with_a_non_integer_field_is_an_error(tmp_path, capsys):
+    path = tmp_path / "tvg.txt"
+    path.write_text("4 2\n0 0 x 1\n")
+    assert main(["run", "--tvg-file", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_out_that_cannot_be_created_is_an_error(tmp_path, capsys):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    assert main(["bb", "--max-bits", "4", "--budget", "10",
+                 "--out", str(blocker / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bb", "--jobs", "2"],
+    ["tvg", "--jobs", "2"],
+    ["tvg", "--budget", "5"],
+    ["run", "--jobs", "2"],
+    ["central", "--jobs", "2"],
+], ids=["bb-jobs", "tvg-jobs", "tvg-budget", "run-jobs", "central-jobs"])
+def test_flags_a_command_does_not_read_are_rejected(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_unresolved_w_gives_no_central_node(tmp_path, capsys):
     # A growing two-instruction loop is never resolved at a small budget.
     code = main(["central", "--w", "011001101", "--n", "4",
@@ -244,6 +278,47 @@ def test_synergy_jobs_do_not_change_bytes(tmp_path, capsys):
     assert digest_dir(one) == digest_dir(many)
 
 
+# Each command's fingerprint at the criterion-9 arguments.  Any change to these values
+# changes the provenance line of every artifact the command writes.
+PINNED_FINGERPRINTS = {
+    "bb": (["--max-bits", "12", "--budget", "1000", "--seed", "1"], "8e8c1b330f811942"),
+    "tvg": (["--family", "replicated-hypercube", "--n", "8", "--seed", "2"], "7173b24250b3d8fe"),
+    "run": (["--family", "star-broadcast", "--n", "8", "--w", "010001", "--seed", "3"],
+            "3fa90ab1dc205d3d"),
+    "central": (["--family", "star-broadcast", "--n", "8", "--w", "010001", "--seed", "6"],
+                "124da8ad4d714f1a"),
+    "synergy": (["--x", "5", "--trials", "2", "--n", "4", "--budget-bits", "14",
+                 "--budget-steps", "2000", "--seed", "5"], "628da32dbb367787"),
+    "halting-sweep": (["--n-list", "4,8", "--trials", "3", "--w-max-bits", "6",
+                       "--budget", "500", "--seed", "4"], "7d9a03df96445d34"),
+}
+
+
+def written_fingerprints(path):
+    """The fingerprints in the JSON fields and CSV comment lines of a directory's files."""
+    found = set()
+    for name in os.listdir(path):
+        text = (path / name).read_text()
+        if name.endswith(".json"):
+            found.add(json.loads(text)["fingerprint"])
+        elif text.startswith("# seed="):
+            fields = dict(part.split("=", 1) for part in text.splitlines()[0][2:].split())
+            found.add(fields["fingerprint"])
+    return found
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_FINGERPRINTS))
+def test_fingerprints_match_pinned_values(command, tmp_path, capsys):
+    flags, expected = PINNED_FINGERPRINTS[command]
+    if command == "halting-sweep":
+        table = tmp_path / "bb"
+        assert main(["bb", *PINNED_FINGERPRINTS["bb"][0], "--out", str(table)]) == 0
+        flags = ["--bb-table", str(table / "bb.csv"), *flags]
+    out = tmp_path / "out"
+    assert main([command, *flags, "--out", str(out)]) == 0
+    assert written_fingerprints(out) == {expected}
+
+
 def test_seed_changes_fingerprint(tmp_path, capsys):
     a, b = tmp_path / "fa", tmp_path / "fb"
     assert main(["bb", "--max-bits", "8", "--budget", "100", "--seed", "1",
@@ -258,15 +333,30 @@ def test_seed_changes_fingerprint(tmp_path, capsys):
 # ------------------------------------------------------- config file plumbing
 
 
-def test_config_file_supplies_defaults(tmp_path, capsys):
+_PROTOCOL_VALUES = {"n": "6", "warmup": "1", "max_bits": "20", "budget": "500", "seed": "6"}
+
+
+@pytest.mark.parametrize("command, values, extra", [
+    ("bb", {"max-bits": "8", "budget": "120", "seed": "6"}, []),
+    ("run", _PROTOCOL_VALUES, ["--family", "star-broadcast", "--w", "010001"]),
+    ("central", _PROTOCOL_VALUES, ["--family", "star-broadcast", "--w", "010001"]),
+    ("synergy", {**_PROTOCOL_VALUES, "n": "4"},
+     ["--x", "0", "--trials", "1", "--budget-bits", "14", "--budget-steps", "2000"]),
+], ids=["bb", "run", "central", "synergy"])
+def test_config_file_supplies_defaults(command, values, extra, tmp_path, capsys):
     conf = tmp_path / "conf"
-    conf.write_text("max-bits = 8\nbudget = 120\nseed = 6\n")
-    out = tmp_path / "cfg"
-    assert main(["bb", "--config", str(conf), "--out", str(out)]) == 0
-    table = BusyBeaverTable.read_csv(out / "bb.csv")
-    assert table.max_bits == 8
-    assert table.budget == 120
-    assert "# seed=6 " in (out / "bb.csv").read_text().splitlines()[0] + " "
+    conf.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    flags = [item for key, value in values.items()
+             for item in ("--" + key.replace("_", "-"), value)]
+    from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+    assert main([command, *extra, "--config", str(conf), "--out", str(from_file)]) == 0
+    assert main([command, *extra, *flags, "--out", str(from_flags)]) == 0
+    assert digest_dir(from_file) == digest_dir(from_flags)
+    if command == "bb":
+        table = BusyBeaverTable.read_csv(from_file / "bb.csv")
+        assert table.max_bits == 8
+        assert table.budget == 120
+        assert (from_file / "bb.csv").read_text().startswith("# seed=6 ")
 
 
 def test_cli_flags_override_config_file(tmp_path, capsys):
@@ -331,3 +421,46 @@ def test_sweep_resume_discards_mismatched_rows(small_bb_csv, tmp_path, capsys):
     # And a rerun with the original sweep reproduces the original bytes.
     assert main(base + ["--w-max-bits", "6", "--out", str(out)]) == 0
     assert digest_dir(out) == with_six
+
+
+def test_sweep_resume_discards_rows_of_another_seed(small_bb_csv, tmp_path, capsys):
+    base = ["halting-sweep", "--bb-table", small_bb_csv, "--budget", "300",
+            "--n-list", "8,16", "--trials", "3"]
+    fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
+    assert main(base + ["--seed", "2", "--out", str(fresh)]) == 0
+    assert main(base + ["--seed", "1", "--out", str(resumed)]) == 0
+    # Every seed-1 task is complete, but none of its rows belongs to a seed-2 sweep.
+    assert main(base + ["--seed", "2", "--resume", "--out", str(resumed)]) == 0
+    assert digest_dir(resumed) == digest_dir(fresh)
+
+
+def test_sweep_csv_keeps_completed_rows_through_a_crash(small_bb_csv, tmp_path,
+                                                        monkeypatch, capsys):
+    base = ["halting-sweep", "--bb-table", small_bb_csv, "--budget", "300",
+            "--n-list", "2,4", "--trials", "1", "--w-max-bits", "6", "--seed", "8"]
+    full = tmp_path / "full"
+    assert main(base + ["--out", str(full)]) == 0
+    assert sorted(os.listdir(full)) == ["sweep.csv", "sweep_summary.json"]
+    first_task = "".join((full / "sweep.csv").read_text().splitlines(keepends=True)[:2 + 3])
+
+    class CrashingWriter(csv.DictWriter):
+        made = 0
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            CrashingWriter.made += 1
+
+        def writerow(self, row):
+            if CrashingWriter.made == 2:  # sweep.csv is written once per completed task
+                raise OSError("simulated crash in the second write of sweep.csv")
+            return super().writerow(row)
+
+    monkeypatch.setattr(csv, "DictWriter", CrashingWriter)
+    crashed = tmp_path / "crashed"
+    with pytest.raises(OSError):
+        main(base + ["--out", str(crashed)])
+    assert (crashed / "sweep.csv").read_text() == first_task
+
+    monkeypatch.undo()
+    assert main(base + ["--resume", "--out", str(crashed)]) == 0
+    assert digest_dir(crashed) == digest_dir(full)
