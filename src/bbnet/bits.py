@@ -35,13 +35,6 @@ def gamma_encode(value: int) -> str:
     return "0" * (len(body) - 1) + body
 
 
-def gamma_length(value: int) -> int:
-    """Length in bits of ``gamma_encode(value)`` without building the string."""
-    if value < 1:
-        raise ValueError("gamma codes positive integers only")
-    return 2 * value.bit_length() - 1
-
-
 def gamma_min_completion(partial: str) -> tuple[int, int]:
     """Cheapest way to finish a partial gamma code.
 

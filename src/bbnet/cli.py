@@ -285,6 +285,12 @@ def _load_sweep_rows(path, comment, w_list):
             if fh.readline() != comment:
                 return {}
             for row in csv.DictReader(fh):
+                try:
+                    for column in _SWEEP_COLUMNS:
+                        if column not in ("w", "reference_label", "bb_value"):
+                            int(row[column])
+                except (KeyError, TypeError, ValueError):
+                    raise ValidationError(f"cannot resume from {path}: malformed row {row}")
                 tasks.setdefault((int(row["n"]), int(row["trial"])), []).append(row)
     except FileNotFoundError:
         return {}
@@ -299,7 +305,7 @@ def cmd_halting_sweep(o) -> int:
         raise ValidationError("need trials >= 1 and population sizes >= 2")
     try:
         table = BusyBeaverTable.read_csv(o.bb_table)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"cannot read bb table {o.bb_table}: {exc}")
     if o.budget + 2 > table.budget:
         raise ValidationError(

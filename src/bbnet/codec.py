@@ -295,20 +295,23 @@ def sample_program(rng, max_bits: int = DEFAULT_MAX_PROGRAM_BITS) -> Program:
     if max_bits < 1:
         raise ValueError("max_bits must be >= 1")
     prefix = ""
-    while True:
-        kind, payload = classify_prefix(prefix, max_bits)
-        if kind == "complete":
-            return payload
-        zero_live = classify_prefix(prefix + "0", max_bits)[0] != "dead"
-        one_live = classify_prefix(prefix + "1", max_bits)[0] != "dead"
+    kind, payload = classify_prefix(prefix, max_bits)
+    while kind != "complete":
+        # The chosen extension's classification is the next prefix's.
+        zero = classify_prefix(prefix + "0", max_bits)
+        one = classify_prefix(prefix + "1", max_bits)
+        zero_live, one_live = zero[0] != "dead", one[0] != "dead"
         if zero_live and one_live:
-            prefix += "1" if rng.getrandbits(1) else "0"
+            bit = "1" if rng.getrandbits(1) else "0"
         elif zero_live:
-            prefix += "0"
+            bit = "0"
         elif one_live:
-            prefix += "1"
+            bit = "1"
         else:
             raise AssertionError("live prefix with no live extension")
+        prefix += bit
+        kind, payload = one if bit == "1" else zero
+    return payload
 
 
 def instruction_bits(instruction: tuple[int, int, int], index: int) -> str:
@@ -372,11 +375,6 @@ def runtime_witness_program(program: Program) -> Program:
     """Successor-of-step-count composite; halts exactly when ``program`` does, and
     its output (as a natural) is ``program``'s step count plus one."""
     return successor_program(step_count_program(program))
-
-
-def runtime_witness_length(program: Program) -> int:
-    """Encoded length of :func:`runtime_witness_program` for ``program``."""
-    return len(SUCCESSOR_PREFIX) + len(STEP_COUNT_PREFIX) + len(program.bits)
 
 
 def _iter_gamma_codes(max_bits: int, max_value: int | None = None):

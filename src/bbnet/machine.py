@@ -221,38 +221,35 @@ class BusyBeaverTable:
         """True when every program of at most n bits was resolved within budget."""
         return all(self.unknown_count(i) == 0 for i in range(1, n + 1))
 
-    def write_csv(self, path, seed: int | None = None, fingerprint: str | None = None) -> None:
+    def write_csv(self, path, seed: int, fingerprint: str) -> None:
         with open(path, "w", newline="") as fh:
-            if fingerprint is not None:
-                fh.write(f"# seed={seed} fingerprint={fingerprint} budget={self.budget}\n")
+            fh.write(f"# seed={seed} fingerprint={fingerprint} budget={self.budget}\n")
             writer = csv.writer(fh)
             writer.writerow(["n", "bb_value", "witness_bits", "unknown_count"])
             for n in range(1, self.max_bits + 1):
                 writer.writerow([n, self.values[n], self.witnesses[n], self.unknown_count(n)])
 
     @classmethod
-    def read_csv(cls, path, budget: int | None = None) -> "BusyBeaverTable":
+    def read_csv(cls, path) -> "BusyBeaverTable":
+        """Read a table written by :meth:`write_csv`; its comment line gives the budget."""
         values: dict[int, int] = {}
         witnesses: dict[int, str] = {}
         unknown: dict[int, int] = {}
-        header_budget = None
+        budget = None
         with open(path, newline="") as fh:
             first = fh.readline()
             if first.startswith("#"):
                 for token in first[1:].split():
                     key, _, value = token.partition("=")
                     if key == "budget":
-                        header_budget = int(value)
-            else:
-                fh.seek(0)
-            reader = csv.DictReader(fh)
-            for row in reader:
+                        budget = int(value)
+            if budget is None:
+                raise ValueError("missing the '# seed=... fingerprint=... budget=...' first line")
+            for row in csv.DictReader(fh):
                 n = int(row["n"])
                 values[n] = int(row["bb_value"])
                 witnesses[n] = row["witness_bits"]
                 unknown[n] = int(row["unknown_count"])
-        if budget is None:
-            budget = header_budget if header_budget is not None else DEFAULT_BUDGET
         return cls(
             max_bits=max(values),
             budget=budget,

@@ -21,12 +21,12 @@ experiment-level label choices never alter the measured language.
 
 from __future__ import annotations
 
-import csv
+import functools
 import random
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from bbnet.bits import bitstring_to_natural
+from bbnet.bits import bitstring_to_natural, natural_to_bitstring
 from bbnet.codec import (
     MINIMAL_ENCODING,
     OP_DECJZ,
@@ -42,6 +42,7 @@ from bbnet.network import RunRecord, mix_seed
 DEFAULT_BUDGET_BITS = 21
 DEFAULT_BUDGET_STEPS = 25_000
 DEFAULT_LABEL_BITS = 12
+_LABEL_ATTEMPTS = 64  # seeded random label pairs tried after the default pair
 
 ENUMERATION = "enumeration"
 COMPRESSION_FALLBACK = "compression-fallback"
@@ -95,10 +96,6 @@ def _reads_aux_register(program: Program) -> bool:
     return any(op == OP_DECJZ and target == 1 for op, target, _ in program.instructions)
 
 
-_BASE_MAPS: dict[tuple[int, int], dict[str, str]] = {}
-_OUTPUT_MAPS: dict[tuple[int, int, int], dict[str, str]] = {}
-
-
 def _run_map(programs, aux: str | None, budget_steps: int) -> dict[str, str]:
     table: dict[str, str] = {}
     for program in programs:
@@ -108,6 +105,14 @@ def _run_map(programs, aux: str | None, budget_steps: int) -> dict[str, str]:
     return table
 
 
+@functools.lru_cache(maxsize=4)
+def _base_map(budget_bits: int, budget_steps: int) -> dict[str, str]:
+    """Output map of the programs blind to the auxiliary register."""
+    return _run_map(
+        (p for p in all_programs(budget_bits) if not _reads_aux_register(p)), None, budget_steps
+    )
+
+
 def _output_map(given: str | None, budget_bits: int, budget_steps: int) -> dict[str, str]:
     """Map output -> shortest producing program (first in (length, bits) order).
 
@@ -115,22 +120,17 @@ def _output_map(given: str | None, budget_bits: int, budget_steps: int) -> dict[
     and shared across every conditioning value; only aux-reading programs are
     re-run per value.
     """
-    key = (bitstring_to_natural(given) if given is not None else 0, budget_bits, budget_steps)
-    cached = _OUTPUT_MAPS.get(key)
-    if cached is not None:
-        return cached
-    base_key = (budget_bits, budget_steps)
-    base = _BASE_MAPS.get(base_key)
-    if base is None:
-        base = _run_map(
-            (p for p in all_programs(budget_bits) if not _reads_aux_register(p)),
-            None,
-            budget_steps,
-        )
-        _BASE_MAPS[base_key] = base
+    return _conditioned_map(
+        bitstring_to_natural(given) if given is not None else 0, budget_bits, budget_steps
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _conditioned_map(given_value: int, budget_bits: int, budget_steps: int) -> dict[str, str]:
+    base = _base_map(budget_bits, budget_steps)
     sensitive = _run_map(
         (p for p in all_programs(budget_bits) if _reads_aux_register(p)),
-        given,
+        natural_to_bitstring(given_value),
         budget_steps,
     )
     table = dict(base)
@@ -138,46 +138,20 @@ def _output_map(given: str | None, budget_bits: int, budget_steps: int) -> dict[
         incumbent = table.get(output)
         if incumbent is None or (len(witness), witness) < (len(incumbent), incumbent):
             table[output] = witness
-    _OUTPUT_MAPS[key] = table
     return table
 
 
 @dataclass
 class ComplexityCache:
-    """Append-only memo of estimates, optionally persisted as CSV."""
+    """Append-only memo of estimates, keyed by (target, given)."""
 
-    path: object = None
-    entries: dict = None
-
-    def __post_init__(self):
-        if self.entries is None:
-            self.entries = {}
-        if self.path is not None:
-            try:
-                with open(self.path, newline="") as fh:
-                    for row in csv.DictReader(fh):
-                        given = None if row["given"] == "-" else row["given"]
-                        witness = row["witness"] or None
-                        self.entries[(row["target"], given)] = ComplexityEstimate(
-                            int(row["value"]), row["method"], witness
-                        )
-            except FileNotFoundError:
-                with open(self.path, "w", newline="") as fh:
-                    csv.writer(fh).writerow(["target", "given", "value", "method", "witness"])
+    entries: dict = field(default_factory=dict)
 
     def get(self, target: str, given: str | None):
         return self.entries.get((target, given))
 
     def put(self, target: str, given: str | None, estimate: ComplexityEstimate) -> None:
-        if (target, given) in self.entries:
-            return
-        self.entries[(target, given)] = estimate
-        if self.path is not None:
-            with open(self.path, "a", newline="") as fh:
-                csv.writer(fh).writerow(
-                    [target, "-" if given is None else given, estimate.value,
-                     estimate.method, estimate.witness or ""]
-                )
+        self.entries.setdefault((target, given), estimate)
 
 
 def _estimate(
@@ -310,11 +284,9 @@ def pick_labels(
     x: int,
     seed: int,
     label_bits: int = DEFAULT_LABEL_BITS,
-    slack: int | None = None,
     budget_bits: int = DEFAULT_BUDGET_BITS,
     budget_steps: int = DEFAULT_BUDGET_STEPS,
     cache: ComplexityCache | None = None,
-    max_attempts: int = 64,
 ) -> LabelPick:
     """Choose halting/nonhalting labels whose conditional complexity given the
     minimal program exceeds x + slack.
@@ -325,9 +297,7 @@ def pick_labels(
     so its estimate is the compression fallback — and that estimate clears the
     threshold.  Raises :class:`ThresholdUnreachable` when no pair is found.
     """
-    if slack is None:
-        slack = slack_constant()
-    threshold = x + slack
+    threshold = x + slack_constant()
 
     def clears(label: str) -> ComplexityEstimate | None:
         estimate = conditional_complexity(
@@ -338,7 +308,7 @@ def pick_labels(
         return None
 
     candidates = [(DEFAULT_LABELS.halting, DEFAULT_LABELS.nonhalting)]
-    for attempt in range(max_attempts):
+    for attempt in range(_LABEL_ATTEMPTS):
         rng = random.Random(mix_seed(seed, attempt))
         halting = format(rng.getrandbits(label_bits), f"0{label_bits}b")
         nonhalting = format(rng.getrandbits(label_bits), f"0{label_bits}b")
@@ -362,5 +332,5 @@ def pick_labels(
         )
     raise ThresholdUnreachable(
         f"no label pair of {label_bits} bits cleared threshold {threshold} "
-        f"within {max_attempts} attempts"
+        f"within {_LABEL_ATTEMPTS} attempts"
     )

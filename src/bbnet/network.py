@@ -22,6 +22,7 @@ is consumed and the final answer happens on fully-diffused state.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -136,17 +137,11 @@ class NodeOutcome:
     first_kind: str
     first_fitness: int
     final_output: str
-    final_kind: str
     correct: bool
 
 
 @dataclass
 class RunRecord:
-    w: str
-    budget: int
-    labels: Labels
-    selector: object
-    warmup: int
     n_cycles: int
     w_resolved: bool
     reference_label: str
@@ -154,42 +149,24 @@ class RunRecord:
     nodes: list[NodeOutcome]
     carried_history: list[list[tuple[int, int]]] = field(repr=False, default_factory=list)
 
-    def first_partial_bits(self, node: int) -> str:
-        """Serialised first-cycle partial answer: (w, own program, fitness string)."""
-        outcome = self.nodes[node]
-        return concat_selfdelim(
-            [self.w, outcome.program_bits, natural_to_bitstring(outcome.first_fitness)]
-        )
-
-    def carried_partial_bits(self, cycle: int, node: int) -> str:
-        """Serialised partial answer after ``cycle``: (w, owner's program, carried value)."""
-        value, owner = self.carried_history[cycle - 1][node]
-        return concat_selfdelim(
-            [self.w, self.nodes[owner].program_bits, natural_to_bitstring(value)]
-        )
-
     @property
     def fraction_correct(self) -> float:
         return sum(1 for n in self.nodes if n.correct) / len(self.nodes)
 
 
-_HALT_LABEL_CACHE: dict[tuple[str, int, Labels], tuple[str, str]] = {}
+def bounded_halt_answer(w_program: Program, bound: int, labels: Labels) -> str:
+    """Exact label of the bounded halt test of w within ``bound`` steps."""
+    return _halt_label(w_program.bits, bound, labels)
 
 
-def bounded_halt_answer(w_program: Program, bound: int, labels: Labels) -> tuple[str, str]:
-    """Exact label and verdict kind of the bounded halt test of w within ``bound`` steps.
-
-    The test composite is total; a budget of bound + 2 machine steps always
-    resolves it exactly.
-    """
-    key = (w_program.bits, bound, labels)
-    cached = _HALT_LABEL_CACHE.get(key)
-    if cached is None:
-        verdict = run(halt_test_program(bound, w_program), "", bound + 2, labels)
-        assert verdict.kind == HALTED
-        cached = (verdict.output, verdict.kind)
-        _HALT_LABEL_CACHE[key] = cached
-    return cached
+@functools.lru_cache(maxsize=1 << 16)
+def _halt_label(w_bits: str, bound: int, labels: Labels) -> str:
+    # The test composite is total; a budget of bound + 2 machine steps always
+    # resolves it exactly.
+    verdict = run(halt_test_program(bound, decode_exact(w_bits)), "", bound + 2, labels)
+    if verdict.kind != HALTED:
+        raise RuntimeError(f"bounded halt test of {w_bits} within {bound} steps did not halt")
+    return verdict.output
 
 
 def reference_halting_label(
@@ -204,18 +181,16 @@ def reference_halting_label(
     return labels.nonhalting, True
 
 
-def _final_answer(selector, x: int, w: str, w_program: Program, budget: int, labels: Labels):
+def _final_answer(selector, x: int, w: str, w_program: Program, budget: int, labels: Labels) -> str:
     if selector == HALT_TEST_SELECTOR:
         return bounded_halt_answer(w_program, x, labels)
     if selector == IDENTITY_SELECTOR:
-        return natural_to_bitstring(x), HALTED
+        return natural_to_bitstring(x)
     _, custom_bits = selector
     custom = decode_exact(custom_bits)
     framed = concat_selfdelim([natural_to_bitstring(x), w])
     verdict = run(custom, framed, budget, labels)
-    if verdict.kind == HALTED:
-        return verdict.output, verdict.kind
-    return ZERO_LABEL, verdict.kind
+    return verdict.output if verdict.kind == HALTED else ZERO_LABEL
 
 
 def run_networked(
@@ -277,7 +252,7 @@ def run_networked(
     nodes = []
     for j in range(node_count):
         x = carried[j][0]
-        answer, kind = _final_answer(selector, x, w, w_program, budget, labels)
+        answer = _final_answer(selector, x, w, w_program, budget, labels)
         nodes.append(
             NodeOutcome(
                 node=j,
@@ -286,17 +261,11 @@ def run_networked(
                 first_kind=first_verdicts[j].kind,
                 first_fitness=first_fitness[j],
                 final_output=answer,
-                final_kind=kind,
                 correct=answer == reference,
             )
         )
     history.append(list(carried))
     return RunRecord(
-        w=w,
-        budget=budget,
-        labels=labels,
-        selector=selector,
-        warmup=assembly.warmup,
         n_cycles=n_cycles,
         w_resolved=w_resolved,
         reference_label=reference,
@@ -304,17 +273,6 @@ def run_networked(
         nodes=nodes,
         carried_history=history,
     )
-
-
-def run_single_cycle(
-    population: tuple[Program, ...],
-    w: str,
-    budget: int = DEFAULT_BUDGET,
-    labels: Labels = DEFAULT_LABELS,
-) -> list[str]:
-    """Degenerate one-cycle run: each node's answer is its fitness string on w."""
-    decode_exact(w)
-    return [natural_to_bitstring(fitness(oracle(p, w, budget, labels))) for p in population]
 
 
 def run_isolated(
@@ -362,8 +320,6 @@ def find_central_node(
     population: tuple[Program, ...],
     w: str,
     budget: int = DEFAULT_BUDGET,
-    labels: Labels = DEFAULT_LABELS,
-    selector=HALT_TEST_SELECTOR,
     warmup: int = 0,
     node_of_vertex: tuple[int, ...] | None = None,
 ) -> CentralNodeResult:
@@ -378,7 +334,7 @@ def find_central_node(
     if node_of_vertex is None:
         node_of_vertex = tuple(range(tvg.num_vertices))
     w_program = decode_exact(w)
-    reference, w_resolved = reference_halting_label(w_program, budget, labels)
+    reference, w_resolved = reference_halting_label(w_program, budget, DEFAULT_LABELS)
     if not w_resolved:
         raise NoCentralNode("reference halting label unresolved at this budget")
     for vertex in most_central_vertices(tvg):
@@ -388,7 +344,7 @@ def find_central_node(
         reach = int(reach)
         node = node_of_vertex[vertex]
         c_min = warmup + reach + 2
-        isolated = run_isolated(population[node], w, c_min - 1, budget, labels)
+        isolated = run_isolated(population[node], w, c_min - 1, budget)
         if any(output == reference for output in isolated):
             continue
         trimmed = Tvg(
@@ -397,12 +353,7 @@ def find_central_node(
             arcs=frozenset(arc for arc in tvg.arcs if arc[1] < reach),
         )
         record = run_networked(
-            assemble(trimmed, population, warmup, node_of_vertex),
-            w,
-            budget,
-            labels,
-            selector,
-            n_cycles=c_min,
+            assemble(trimmed, population, warmup, node_of_vertex), w, budget, n_cycles=c_min
         )
         if record.nodes[node].final_output == reference:
             return CentralNodeResult(

@@ -7,18 +7,16 @@ spells each arc as four integers ``u i v i+1``.
 
 Vertex-to-vertex spread is measured in intervals (instant-to-instant hops).
 The diffusion time of a vertex is the minimum number of intervals after which
-a required fraction of all vertices has been reached (a vertex reaches itself
-at 0 intervals); the diffusion diameter is the worst diffusion time to reach
-everyone.  The reverse reach time of a vertex is the worst over sources of the
-earliest arrival from that source, and time-reachability centrality is its
-reciprocal.
+every vertex has been reached (a vertex reaches itself at 0 intervals); the
+diffusion diameter is the worst diffusion time over sources.  The reverse
+reach time of a vertex is the worst over sources of the earliest arrival from
+that source, and time-reachability centrality is its reciprocal.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 
 INFINITE = math.inf
@@ -57,24 +55,20 @@ def _adjacency(tvg: Tvg) -> tuple[dict[int, list[int]], ...]:
     return tuple(per_interval)
 
 
-def earliest_arrivals(tvg: Tvg, source: int, start_instant: int = 0) -> list[float]:
-    """Earliest number of intervals (from ``start_instant``) to reach each vertex.
+def earliest_arrivals(tvg: Tvg, source: int) -> list[float]:
+    """Earliest number of intervals to reach each vertex.
 
     ``result[source] == 0``; unreachable vertices get ``INFINITE``.
     """
     if not 0 <= source < tvg.num_vertices:
         raise InvalidArc("unknown source vertex")
-    if not 0 <= start_instant < tvg.num_instants:
-        raise InvalidArc("unknown start instant")
     adjacency = _adjacency(tvg)
     arrivals: list[float] = [INFINITE] * tvg.num_vertices
     arrivals[source] = 0
     reached = 1
-    for interval in range(start_instant, tvg.num_instants - 1):
+    for step, links in enumerate(adjacency, start=1):
         if reached == tvg.num_vertices:
             break
-        step = interval - start_instant + 1
-        links = adjacency[interval]
         # Everything reached so far keeps spreading at later instants, so the
         # whole reached set (not just last interval's additions) is the frontier.
         for u in range(tvg.num_vertices):
@@ -86,37 +80,28 @@ def earliest_arrivals(tvg: Tvg, source: int, start_instant: int = 0) -> list[flo
     return arrivals
 
 
-def diffusion_time(tvg: Tvg, source: int, fraction: float = 1.0, start_instant: int = 0) -> float:
-    """Minimum intervals until at least ceil(fraction * num_vertices) vertices are reached."""
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must be in (0, 1]")
-    needed = math.ceil(fraction * tvg.num_vertices)
-    if needed <= 1:
-        return 0
-    arrivals = sorted(earliest_arrivals(tvg, source, start_instant))
-    reach = arrivals[needed - 1]
-    return reach if reach != INFINITE else INFINITE
+def diffusion_time(tvg: Tvg, source: int) -> float:
+    """Minimum intervals until every vertex is reached."""
+    return max(earliest_arrivals(tvg, source))
 
 
-def diffusion_diameter(tvg: Tvg, start_instant: int = 0) -> float:
-    """Worst diffusion time over sources at fraction 1 (reach every vertex)."""
-    return max(
-        diffusion_time(tvg, source, 1.0, start_instant) for source in range(tvg.num_vertices)
-    )
+def diffusion_diameter(tvg: Tvg) -> float:
+    """Worst diffusion time over sources."""
+    return max(diffusion_time(tvg, source) for source in range(tvg.num_vertices))
 
 
-def reverse_reach_time(tvg: Tvg, target: int, start_instant: int = 0) -> float:
+def reverse_reach_time(tvg: Tvg, target: int) -> float:
     """Worst over sources of the earliest arrival at ``target``."""
     worst = 0.0
     for source in range(tvg.num_vertices):
-        arrival = earliest_arrivals(tvg, source, start_instant)[target]
+        arrival = earliest_arrivals(tvg, source)[target]
         if arrival == INFINITE:
             return INFINITE
         worst = max(worst, arrival)
     return worst
 
 
-def reachability_centrality(tvg: Tvg, vertex: int, start_instant: int = 0) -> float:
+def reachability_centrality(tvg: Tvg, vertex: int) -> float:
     """Reciprocal of reverse reach time; 0 when some source never reaches the vertex.
 
     Meaningful only on graphs with at least two vertices (a singleton has
@@ -124,7 +109,7 @@ def reachability_centrality(tvg: Tvg, vertex: int, start_instant: int = 0) -> fl
     """
     if tvg.num_vertices < 2:
         raise ValueError("centrality needs at least two vertices")
-    reach = reverse_reach_time(tvg, vertex, start_instant)
+    reach = reverse_reach_time(tvg, vertex)
     if reach == INFINITE:
         return 0.0
     if reach == 0:
@@ -132,11 +117,9 @@ def reachability_centrality(tvg: Tvg, vertex: int, start_instant: int = 0) -> fl
     return 1.0 / reach
 
 
-def most_central_vertices(tvg: Tvg, start_instant: int = 0) -> list[int]:
+def most_central_vertices(tvg: Tvg) -> list[int]:
     """Vertices ordered by decreasing centrality, ties broken by lowest index."""
-    scored = [
-        (-reachability_centrality(tvg, v, start_instant), v) for v in range(tvg.num_vertices)
-    ]
+    scored = [(-reachability_centrality(tvg, v), v) for v in range(tvg.num_vertices)]
     scored.sort()
     return [v for _, v in scored]
 
@@ -246,13 +229,16 @@ _FAMILY_LOG_FACTOR = {
 }
 
 
-def small_diameter_tvg(family: str, num_vertices: int, seed: int = 0, max_retries: int = 8) -> Tvg:
+_MAX_ATTEMPTS = 8
+
+
+def small_diameter_tvg(family: str, num_vertices: int, seed: int = 0) -> Tvg:
     """Generate a family instance whose diffusion diameter D satisfies D <= c*lg(N).
 
     The static edge set is replicated across D+1 instants (so the graph is just
     long enough for full diffusion).  The bound is verified by direct
     computation; on failure the generator retries with seed+1, and raises
-    :class:`GenerationFailed` after ``max_retries`` attempts.
+    :class:`GenerationFailed` after ``_MAX_ATTEMPTS`` attempts.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
@@ -260,7 +246,7 @@ def small_diameter_tvg(family: str, num_vertices: int, seed: int = 0, max_retrie
         raise ValueError("families need at least two vertices")
     factor = _FAMILY_LOG_FACTOR[family]
     bound = factor * max(1.0, math.log2(num_vertices))
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_ATTEMPTS):
         attempt_seed = seed + attempt
         if family == "replicated-hypercube":
             edges = _hypercube_edges(num_vertices)
@@ -277,18 +263,5 @@ def small_diameter_tvg(family: str, num_vertices: int, seed: int = 0, max_retrie
             return tvg
     raise GenerationFailed(
         f"{family} with {num_vertices} vertices missed diameter bound {bound:.2f} "
-        f"after {max_retries} attempts"
+        f"after {_MAX_ATTEMPTS} attempts"
     )
-
-
-def random_tvg(rng: random.Random, max_vertices: int = 6, max_instants: int = 4) -> Tvg:
-    """A small arbitrary graph for cross-checking metrics against brute force."""
-    num_vertices = rng.randint(1, max_vertices)
-    num_instants = rng.randint(1, max_instants)
-    arcs = set()
-    for i in range(num_instants - 1):
-        for u in range(num_vertices):
-            for v in range(num_vertices):
-                if u != v and rng.random() < 0.3:
-                    arcs.add((u, i, v))
-    return Tvg(num_vertices=num_vertices, num_instants=num_instants, arcs=frozenset(arcs))

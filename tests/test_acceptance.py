@@ -33,9 +33,10 @@ from bbnet.tvg import (
     diffusion_diameter,
     diffusion_time,
     earliest_arrivals,
-    random_tvg,
     small_diameter_tvg,
 )
+
+from random_graphs import random_tvg
 
 
 def brute_force_arrivals(graph: Tvg, source: int) -> list[float]:

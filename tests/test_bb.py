@@ -1,7 +1,9 @@
 """Exhaustive best-output tables: values, witnesses, unknown counts, persistence."""
 
+import pytest
+
 from bbnet.bits import bitstring_to_natural
-from bbnet.codec import all_programs, decode_exact, runtime_witness_length
+from bbnet.codec import RUNTIME_WITNESS_OVERHEAD, all_programs, decode_exact
 from bbnet.machine import (
     BUDGET_EXHAUSTED,
     HALTED,
@@ -82,7 +84,7 @@ def test_runtime_witnesses_bound_the_table_from_below(bb_table_full):
         verdict = oracle(program, "", budget=table.budget - 2)
         if verdict.kind != HALTED:
             continue
-        length = runtime_witness_length(program)
+        length = len(program.bits) + RUNTIME_WITNESS_OVERHEAD
         assert length <= table.max_bits
         assert table.value(length) >= verdict.steps + 1
 
@@ -106,6 +108,6 @@ def test_csv_read_without_comment_line(tmp_path):
         fh.write("n,bb_value,witness_bits,unknown_count\n")
         for n in range(1, 9):
             fh.write(f"{n},{table.value(n)},{table.witness(n)},{table.unknown_count(n)}\n")
-    loaded = BusyBeaverTable.read_csv(path, budget=50)
-    assert loaded.values == table.values
-    assert loaded.budget == 50
+    # Without its budget line a table cannot vouch for a sweep budget.
+    with pytest.raises(ValueError, match="budget"):
+        BusyBeaverTable.read_csv(path)

@@ -8,7 +8,6 @@ from bbnet.bits import (
     bitstring_to_natural,
     concat_selfdelim,
     gamma_encode,
-    gamma_length,
     gamma_min_completion,
     natural_to_bitstring,
     split_selfdelim,
@@ -49,12 +48,6 @@ def test_gamma_small_values():
     assert gamma_encode(4) == "00100"
     assert gamma_encode(7) == "00111"
     assert gamma_encode(8) == "0001000"
-
-
-@given(st.integers(min_value=1, max_value=10**9))
-def test_gamma_length_matches_encoding(value):
-    assert gamma_length(value) == len(gamma_encode(value))
-    assert gamma_length(value) == 2 * (value.bit_length() - 1) + 1
 
 
 def test_gamma_is_prefix_free():

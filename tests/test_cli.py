@@ -88,6 +88,31 @@ def test_sweep_rejects_budget_beyond_table(small_bb_csv, tmp_path, capsys):
     assert code == 1
 
 
+def test_sweep_rejects_a_bb_table_without_its_budget_line(tmp_path, capsys):
+    # A 50-step table must not certify a 100-step sweep just because its
+    # budget line is missing.
+    table = busy_beaver_table(14, budget=50)
+    path = tmp_path / "bare.csv"
+    with open(path, "w") as fh:
+        fh.write("n,bb_value,witness_bits,unknown_count\n")
+        for n in range(1, 15):
+            fh.write(f"{n},{table.value(n)},{table.witness(n)},{table.unknown_count(n)}\n")
+    code = main(["halting-sweep", "--bb-table", str(path), "--budget", "100",
+                 "--n-list", "2", "--trials", "1", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read bb table {path}")
+
+
+def test_sweep_rejects_a_bb_table_with_a_short_row(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("# seed=0 fingerprint=x budget=1000\n"
+                    "n,bb_value,witness_bits,unknown_count\n1,0,1,0\n2,0\n")
+    code = main(["halting-sweep", "--bb-table", str(path), "--budget", "100",
+                 "--n-list", "2", "--trials", "1", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read bb table {path}")
+
+
 def test_missing_tvg_file_is_an_error(tmp_path, capsys):
     assert main(["run", "--tvg-file", str(tmp_path / "missing.txt"),
                  "--out", str(tmp_path / "out")]) == 1
@@ -432,6 +457,19 @@ def test_sweep_resume_discards_rows_of_another_seed(small_bb_csv, tmp_path, caps
     # Every seed-1 task is complete, but none of its rows belongs to a seed-2 sweep.
     assert main(base + ["--seed", "2", "--resume", "--out", str(resumed)]) == 0
     assert digest_dir(resumed) == digest_dir(fresh)
+
+
+def test_sweep_resume_rejects_a_malformed_row(small_bb_csv, tmp_path, capsys):
+    base = ["halting-sweep", "--bb-table", small_bb_csv, "--budget", "300",
+            "--n-list", "2,4", "--trials", "1", "--seed", "8", "--out", str(tmp_path)]
+    assert main(base) == 0
+    sweep_path = tmp_path / "sweep.csv"
+    lines = sweep_path.read_text().splitlines(keepends=True)
+    lines[2] = "x" + lines[2][lines[2].index(","):]  # the first row's n field
+    sweep_path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(base + ["--resume"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_sweep_csv_keeps_completed_rows_through_a_crash(small_bb_csv, tmp_path,

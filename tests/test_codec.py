@@ -27,7 +27,6 @@ from bbnet.codec import (
     instruction_bits,
     is_valid_encoding,
     native_program,
-    runtime_witness_length,
     runtime_witness_program,
     sample_program,
     step_count_program,
@@ -126,8 +125,7 @@ def test_runtime_witness_shape():
     inner = decode_exact("1")
     witness = runtime_witness_program(inner)
     assert witness.bits == SUCCESSOR_PREFIX + STEP_COUNT_PREFIX + inner.bits
-    assert len(witness.bits) == runtime_witness_length(inner)
-    assert runtime_witness_length(inner) == len(inner.bits) + RUNTIME_WITNESS_OVERHEAD
+    assert len(witness.bits) == len(inner.bits) + RUNTIME_WITNESS_OVERHEAD
 
 
 def test_native_program_builder_matches_instruction_bits():

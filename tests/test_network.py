@@ -1,5 +1,6 @@
 """The fittest-imitation protocol: diffusion, tie-breaks, answers, central nodes."""
 
+import hashlib
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from bbnet.codec import (
     decode_exact,
     native_program,
 )
-from bbnet.machine import DEFAULT_LABELS, HALTED, oracle
+from bbnet.machine import DEFAULT_LABELS, oracle
 from bbnet.network import (
     ConfigMismatch,
     NoCentralNode,
@@ -27,7 +28,6 @@ from bbnet.network import (
     reference_halting_label,
     run_isolated,
     run_networked,
-    run_single_cycle,
     sample_population,
 )
 from bbnet.tvg import Tvg, small_diameter_tvg
@@ -65,6 +65,21 @@ def test_population_is_per_node_deterministic():
     assert small == again
     other = sample_population(5, seed=43)
     assert [p.bits for p in small] != [p.bits for p in other]
+
+
+# sha256 of the newline-joined program bits of a 512-node population, by seed.
+POPULATION_DIGESTS = {
+    0: "42a09af6cb8546eeb36eac38cfa4a2828c76d111b569b6873637c3be86cbd389",
+    1: "e6ec2d8d6d3a16650a54dea223b1e8669d77cb98c27a4831815679583ed9de90",
+    2: "da3d0ef209bb8685d0c4b12339734bb7a80170ea874b6510477fc217721632df",
+    7: "f0c2335bbf708822e3c8042d20fc86045792c91f5704c6165e7419088808947c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(POPULATION_DIGESTS))
+def test_population_bits_are_pinned(seed):
+    bits = "\n".join(p.bits for p in sample_population(512, seed))
+    assert hashlib.sha256(bits.encode()).hexdigest() == POPULATION_DIGESTS[seed]
 
 
 def test_parse_selector():
@@ -114,11 +129,8 @@ def test_reference_label_for_unresolved_program():
 
 def test_bounded_halt_answer_matches_direct_run():
     for bound in [0, 1, 2, 10]:
-        answer, kind = bounded_halt_answer(INC, bound, DEFAULT_LABELS)
-        assert kind == HALTED
-        assert answer == ("1" if bound >= 1 else "0")
-    answer, _ = bounded_halt_answer(CYCLE, 50, DEFAULT_LABELS)
-    assert answer == "0"
+        assert bounded_halt_answer(INC, bound, DEFAULT_LABELS) == ("1" if bound >= 1 else "0")
+    assert bounded_halt_answer(CYCLE, 50, DEFAULT_LABELS) == "0"
 
 
 # ------------------------------------------------------------- protocol runs
@@ -208,20 +220,6 @@ def test_halt_test_selector_uses_carried_bound():
     killed = run_networked(assemble(lonely, (CYCLE,)), w, budget=100)
     assert killed.x_max == 0
     assert not killed.nodes[0].correct
-
-
-def test_partial_answer_framing():
-    population = (EMPTY, INC, CYCLE)
-    record = run_networked(assemble(STAR3, population), "1", budget=100)
-    first = record.first_partial_bits(1)
-    assert split_selfdelim(first) == ["1", INC.bits, natural_to_bitstring(4)]
-    carried = record.carried_partial_bits(record.n_cycles - 1, 0)
-    assert split_selfdelim(carried) == ["1", INC.bits, natural_to_bitstring(4)]
-
-
-def test_run_single_cycle_is_fitness_only():
-    outputs = run_single_cycle((EMPTY, INC, CYCLE), "1", budget=100)
-    assert outputs == [natural_to_bitstring(3), natural_to_bitstring(4), ""]
 
 
 def test_vertex_relabelling_does_not_change_outcomes():

@@ -16,7 +16,6 @@ from bbnet.tvg import (
     diffusion_time,
     earliest_arrivals,
     most_central_vertices,
-    random_tvg,
     reachability_centrality,
     read_tvg,
     reverse_reach_time,
@@ -24,20 +23,21 @@ from bbnet.tvg import (
     write_tvg,
 )
 
+from random_graphs import random_tvg
 
-def brute_force_arrivals(tvg, source, start_instant=0):
+
+def brute_force_arrivals(tvg, source):
     """Independent reachability: grow the reached set one interval at a time.
 
     Each interval's additions are computed against a frozen snapshot, since an
     arc only carries what its tail held at the interval's opening instant.
     """
     arrivals = {source: 0}
-    for interval in range(start_instant, tvg.num_instants - 1):
-        step = interval - start_instant + 1
+    for interval in range(tvg.num_instants - 1):
         snapshot = set(arrivals)
         for u, i, v in tvg.arcs:
             if i == interval and u in snapshot and v not in arrivals:
-                arrivals[v] = step
+                arrivals[v] = interval + 1
     return [arrivals.get(v, INFINITE) for v in range(tvg.num_vertices)]
 
 
@@ -61,9 +61,7 @@ def test_information_persists_between_instants():
 
 
 def test_arcs_are_directional_and_timed():
-    # An arc usable only before the start instant is useless.
     tvg = Tvg(num_vertices=2, num_instants=3, arcs=frozenset({(0, 0, 1)}))
-    assert earliest_arrivals(tvg, 0, start_instant=1) == [0, INFINITE]
     assert earliest_arrivals(tvg, 1) == [INFINITE, 0]
 
 
@@ -71,18 +69,10 @@ def test_diffusion_time_and_diameter():
     assert diffusion_time(PATH, 0) == 2
     assert diffusion_time(PATH, 1) == INFINITE
     assert diffusion_diameter(PATH) == INFINITE
-    assert diffusion_time(PATH, 0, fraction=0.5) == 1
     # A single vertex needs zero intervals regardless.
     lonely = Tvg(num_vertices=1, num_instants=1, arcs=frozenset())
     assert diffusion_time(lonely, 0) == 0
     assert diffusion_diameter(lonely) == 0
-
-
-def test_diffusion_time_fraction_validation():
-    with pytest.raises(ValueError):
-        diffusion_time(PATH, 0, fraction=0.0)
-    with pytest.raises(ValueError):
-        diffusion_time(PATH, 0, fraction=1.5)
 
 
 def test_reverse_reach_and_centrality():
@@ -123,18 +113,6 @@ def test_arrivals_match_brute_force(seed):
     tvg = random_tvg(rng)
     for source in range(tvg.num_vertices):
         assert earliest_arrivals(tvg, source) == brute_force_arrivals(tvg, source)
-
-
-@settings(max_examples=100)
-@given(st.integers(min_value=0, max_value=10**9))
-def test_arrivals_match_brute_force_from_later_starts(seed):
-    rng = random.Random(seed)
-    tvg = random_tvg(rng)
-    for start in range(tvg.num_instants):
-        for source in range(tvg.num_vertices):
-            assert earliest_arrivals(tvg, source, start) == brute_force_arrivals(
-                tvg, source, start
-            )
 
 
 @settings(max_examples=100)
