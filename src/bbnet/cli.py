@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import multiprocessing
 import os
@@ -275,6 +276,16 @@ _SWEEP_COLUMNS = [
     "bb_value", "certified", "literal_certified", "correct_nodes", "node_count",
     "all_correct",
 ]
+_SWEEP_HEADER = ",".join(_SWEEP_COLUMNS) + "\r\n"
+
+
+def _render_sweep_rows(rows) -> str:
+    """One task's rows as sweep.csv text, rendered once and reused by every flush."""
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=_SWEEP_COLUMNS)
+    for row in rows:
+        writer.writerow({col: row[col] for col in _SWEEP_COLUMNS})
+    return text.getvalue()
 
 
 def _load_sweep_rows(path, comment, w_list):
@@ -326,23 +337,21 @@ def cmd_halting_sweep(o) -> int:
     completed = _load_sweep_rows(sweep_path, comment, w_list) if o.resume else {}
     tasks = [(n, trial) for n in o.n_list for trial in range(o.trials)]
     todo = [key for key in tasks if key not in completed]
+    rendered = {key: _render_sweep_rows(rows) for key, rows in completed.items()}
 
     def flush() -> None:
         # A crash mid-write must leave the earlier rows in place for --resume.
         staged = sweep_path + ".partial"
         with open(staged, "w", newline="") as fh:
             fh.write(comment)
-            writer = csv.DictWriter(fh, fieldnames=_SWEEP_COLUMNS)
-            writer.writeheader()
-            for key in tasks:
-                if key in completed:
-                    for row in completed[key]:
-                        writer.writerow({col: row[col] for col in _SWEEP_COLUMNS})
+            fh.write(_SWEEP_HEADER)
+            fh.writelines(rendered[key] for key in tasks if key in rendered)
         os.replace(staged, sweep_path)
 
     task = functools.partial(_sweep_task, o, w_list, table.values, bb_resolved)
     for key, rows in zip(todo, _map(task, todo, o.jobs)):
         completed[key] = rows
+        rendered[key] = _render_sweep_rows(rows)
         flush()
     if not todo:
         flush()

@@ -20,15 +20,22 @@ behaviour is fixed by their structure.
 
 The oracle runs a program while fingerprinting configurations (program
 counter plus the full register file).  A repeated configuration proves
-nonhalting — soundly, because execution is deterministic.  The oracle is
+nonhalting — soundly, because execution is deterministic.  The verdicts are
 deliberately no stronger than that: a run whose registers grow forever never
 repeats a configuration and stays "budget-exhausted" (unknown).
+
+Both ``run`` and ``oracle`` stop simulating a native run early once it is
+proven never to halt by a growth argument (see ``_run_native``).  Such a run
+is reported exactly as running on would report it — budget-exhausted after
+the full budget — so stopping early saves time and never changes a verdict,
+a step count or a busy-beaver table's unknown count.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from operator import le
 
 from bbnet.bits import bitstring_to_natural, natural_to_bitstring
 from bbnet.codec import (
@@ -79,9 +86,35 @@ class Verdict:
         return self.kind == HALTED
 
 
+# A growth proof is tried at the first backward jump after every this many steps.
+_GROWTH_CHECK_INTERVAL = 32
+
+
 def _run_native(
     program: Program, r0: int, r1: int, budget: int, detect_cycles: bool
 ) -> Verdict:
+    """Run a native program; with ``detect_cycles``, prove nonhalting by repeats.
+
+    Runs that never halt are stopped early by a growth proof.  At a checked
+    backward jump the registers ``new`` are compared with the snapshot ``old``
+    taken at an earlier checked jump that landed on the same pc.  Suppose
+    ``old <= new`` in every register, and every register that a DECJZ found
+    zero or a ZERO reset since ``old`` holds the same value in both.  Replay
+    the path from ``old`` to ``new`` starting at ``new`` instead: by induction
+    over its steps, every register stays at its first-pass value plus
+    ``new - old``.  An INC, or a DECJZ that decremented, does the same again,
+    since a register at least as large is still non-zero; a DECJZ that found
+    zero, or a ZERO, acts on a register whose offset is 0, so it finds zero
+    again or resets it again.  The path is taken again, ends at the same pc with
+    ``new + (new - old)``, and so on forever: the program never halts.
+
+    Running on would then return budget-exhausted after ``budget`` steps, and
+    that is what a proof returns.  Under ``detect_cycles`` a proof counts only
+    when ``new != old``: then some register grows without bound, so no
+    configuration ever repeats and the seen-set could never have fired.  When
+    ``new == old`` the configuration has repeated, and the seen-set reports it
+    at its exact first-repeat step.
+    """
     instructions = program.instructions
     n = len(instructions)
     regs = [0] * program.num_registers
@@ -90,6 +123,11 @@ def _run_native(
     pc = 0
     steps = 0
     seen = {(0, tuple(regs))} if detect_cycles else None
+    # The last step at which each register was found zero or reset, and one
+    # (registers, step) snapshot per landing pc of a checked backward jump.
+    zeroed_at = [-1] * len(regs)
+    snapshots: dict[int, tuple[tuple[int, ...], int]] = {}
+    check_at = _GROWTH_CHECK_INTERVAL
     while True:
         if pc >= n:
             return Verdict(HALTED, natural_to_bitstring(regs[0]), steps)
@@ -104,10 +142,24 @@ def _run_native(
                 regs[a] -= 1
                 pc += 1
             else:
+                zeroed_at[a] = steps
                 pc += b
         elif op == OP_JMPBACK:
             pc -= a
+            if steps >= check_at:
+                check_at = steps + _GROWTH_CHECK_INTERVAL
+                new = tuple(regs)
+                if pc in snapshots:
+                    old, since = snapshots[pc]
+                    if (
+                        (seen is None or old != new)
+                        and all(map(le, old, new))
+                        and all(old[r] == new[r] for r, t in enumerate(zeroed_at) if t > since)
+                    ):
+                        return Verdict(BUDGET_EXHAUSTED, None, budget)
+                snapshots[pc] = (new, steps)
         else:
+            zeroed_at[a] = steps
             regs[a] = 0
             pc += 1
         steps += 1

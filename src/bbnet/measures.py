@@ -106,11 +106,18 @@ def _run_map(programs, aux: str | None, budget_steps: int) -> dict[str, str]:
 
 
 @functools.lru_cache(maxsize=4)
+def _search_set(budget_bits: int) -> tuple[tuple[Program, ...], tuple[Program, ...]]:
+    """The programs of at most ``budget_bits`` bits: (aux-blind, aux-reading)."""
+    blind, reading = [], []
+    for program in all_programs(budget_bits):
+        (reading if _reads_aux_register(program) else blind).append(program)
+    return tuple(blind), tuple(reading)
+
+
+@functools.lru_cache(maxsize=4)
 def _base_map(budget_bits: int, budget_steps: int) -> dict[str, str]:
     """Output map of the programs blind to the auxiliary register."""
-    return _run_map(
-        (p for p in all_programs(budget_bits) if not _reads_aux_register(p)), None, budget_steps
-    )
+    return _run_map(_search_set(budget_bits)[0], None, budget_steps)
 
 
 def _output_map(given: str | None, budget_bits: int, budget_steps: int) -> dict[str, str]:
@@ -129,9 +136,7 @@ def _output_map(given: str | None, budget_bits: int, budget_steps: int) -> dict[
 def _conditioned_map(given_value: int, budget_bits: int, budget_steps: int) -> dict[str, str]:
     base = _base_map(budget_bits, budget_steps)
     sensitive = _run_map(
-        (p for p in all_programs(budget_bits) if _reads_aux_register(p)),
-        natural_to_bitstring(given_value),
-        budget_steps,
+        _search_set(budget_bits)[1], natural_to_bitstring(given_value), budget_steps
     )
     table = dict(base)
     for output, witness in sensitive.items():

@@ -321,7 +321,6 @@ def find_central_node(
     w: str,
     budget: int = DEFAULT_BUDGET,
     warmup: int = 0,
-    node_of_vertex: tuple[int, ...] | None = None,
 ) -> CentralNodeResult:
     """Locate a node that answers correctly at the smallest possible cycle count.
 
@@ -331,8 +330,6 @@ def find_central_node(
     already produces the reference label at any earlier cycle, and verified by
     running the network on the graph trimmed to d+1 instants.
     """
-    if node_of_vertex is None:
-        node_of_vertex = tuple(range(tvg.num_vertices))
     w_program = decode_exact(w)
     reference, w_resolved = reference_halting_label(w_program, budget, DEFAULT_LABELS)
     if not w_resolved:
@@ -342,9 +339,8 @@ def find_central_node(
         if reach == float("inf"):
             continue
         reach = int(reach)
-        node = node_of_vertex[vertex]
         c_min = warmup + reach + 2
-        isolated = run_isolated(population[node], w, c_min - 1, budget)
+        isolated = run_isolated(population[vertex], w, c_min - 1, budget)
         if any(output == reference for output in isolated):
             continue
         trimmed = Tvg(
@@ -352,13 +348,11 @@ def find_central_node(
             num_instants=reach + 1,
             arcs=frozenset(arc for arc in tvg.arcs if arc[1] < reach),
         )
-        record = run_networked(
-            assemble(trimmed, population, warmup, node_of_vertex), w, budget, n_cycles=c_min
-        )
-        if record.nodes[node].final_output == reference:
+        record = run_networked(assemble(trimmed, population, warmup), w, budget, n_cycles=c_min)
+        if record.nodes[vertex].final_output == reference:
             return CentralNodeResult(
                 vertex=vertex,
-                node=node,
+                node=vertex,
                 c_min=c_min,
                 reverse_reach=reach,
                 centrality=reachability_centrality(tvg, vertex),

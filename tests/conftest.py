@@ -21,8 +21,7 @@ settings.load_profile("bbnet")
 def bb_table_full():
     """The 20-bit/100k-step busy-beaver table plus its build time in seconds.
 
-    Built once; the acceptance tests share it (the slowest single computation
-    in the suite).
+    Built once and shared by the acceptance tests and tests/test_bb.py.
     """
     start = time.monotonic()
     table = busy_beaver_table(20, 100_000)

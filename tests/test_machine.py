@@ -1,5 +1,7 @@
 """Interpreter semantics: bounded runs, the nonhalting prover, composite step counts."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from bbnet.codec import (
 )
 from bbnet.machine import (
     BUDGET_EXHAUSTED,
+    DEFAULT_LABELS,
     HALTED,
     PROVEN_NONHALTING,
     Labels,
@@ -28,6 +31,9 @@ from bbnet.machine import (
     oracle,
     run,
 )
+from bbnet.network import sample_population
+
+import reference_machine
 
 INC = native_program(((OP_INC, 0, 0),))
 CYCLE = native_program(((OP_DECJZ, 0, 1), (OP_JMPBACK, 1, 0)))
@@ -247,3 +253,96 @@ def test_runtime_witness_encodes_the_step_count(program):
 def test_fitness_is_output_rank_plus_one(value):
     verdict = Verdict(HALTED, natural_to_bitstring(value), 1)
     assert fitness(verdict) == value + 1
+
+
+# ------------------------------------------------- against the reference loop
+
+REFERENCE_AUX = "10"
+
+
+def _reference(program, w, budget, detect_cycles, aux_bits=None):
+    r1 = bitstring_to_natural(aux_bits) if aux_bits is not None else 0
+    return reference_machine._evaluate(
+        program, bitstring_to_natural(w), budget, DEFAULT_LABELS, detect_cycles, r1
+    )
+
+
+def _assert_verdicts_match_reference(programs, inputs, budgets):
+    for program in programs:
+        for w in inputs:
+            for budget in budgets:
+                where = (program.bits, w, budget)
+                assert run(program, w, budget) == _reference(program, w, budget, False), where
+                assert run(program, w, budget, aux_bits=REFERENCE_AUX) == _reference(
+                    program, w, budget, False, REFERENCE_AUX
+                ), where
+                assert oracle(program, w, budget) == _reference(program, w, budget, True), where
+
+
+def test_verdicts_match_the_reference_on_short_programs():
+    _assert_verdicts_match_reference(
+        all_programs(16), ["", "1", "010001", "0110"], [0, 1, 2, 10, 1_000, 10_000]
+    )
+
+
+def test_verdicts_match_the_reference_at_every_small_budget():
+    # Budgets 0..299 cross the points where the growth proof is tried.
+    _assert_verdicts_match_reference(all_programs(16), [""], [*range(300), 100_000])
+
+
+def test_verdicts_match_the_reference_on_sampled_populations():
+    programs = {}
+    for seed in range(4):
+        for program in sample_population(512, seed):
+            programs.setdefault(program.bits, program)
+    _assert_verdicts_match_reference(
+        programs.values(), [p.bits for p in all_programs(8)], [10, 100, 1_000, 10_000]
+    )
+
+
+# Counts r1 up from 0 and, after each increment, compares it with the input in
+# r0 through copies in r2..r4; halts once r1 reaches the input.  Between two
+# outer iterations no register shrinks, but r1 is drained to zero and refilled
+# on the way, so no growth proof may stop it.
+COUNT_UP = native_program([
+    (OP_INC, 1, 0), (OP_DECJZ, 1, 4), (OP_INC, 2, 0), (OP_INC, 3, 0), (OP_JMPBACK, 3, 0),
+    (OP_DECJZ, 3, 3), (OP_INC, 1, 0), (OP_JMPBACK, 2, 0),
+    (OP_DECJZ, 0, 4), (OP_INC, 4, 0), (OP_INC, 3, 0), (OP_JMPBACK, 3, 0),
+    (OP_DECJZ, 3, 3), (OP_INC, 0, 0), (OP_JMPBACK, 2, 0),
+    (OP_DECJZ, 2, 4), (OP_DECJZ, 4, 3), (OP_JMPBACK, 2, 0), (OP_INC, 5, 0),
+    (OP_DECJZ, 4, 3), (OP_ZERO, 4, 0), (OP_JMPBACK, 21, 0),
+])
+
+# A 32-step body, then two backward jumps to its start: the first clears a
+# non-zero r0, the second closes the cycle once r0 is zero.  The configuration
+# first repeats right after the second jump, a whole body after the first.
+CYCLE_TWO_JUMPS = native_program(
+    [(OP_INC, 1, 0), (OP_DECJZ, 1, 1)] * 16
+    + [(OP_DECJZ, 0, 3), (OP_ZERO, 0, 0), (OP_JMPBACK, 34, 0), (OP_JMPBACK, 35, 0)]
+)
+
+
+def test_growth_proof_leaves_a_refilled_register_alone():
+    twenty = natural_to_bitstring(20)
+    expected = Verdict(HALTED, twenty, 5078)
+    assert run(COUNT_UP, twenty, budget=10_000) == expected
+    assert oracle(COUNT_UP, twenty, budget=10_000) == expected
+    assert _reference(COUNT_UP, twenty, 10_000, True) == expected
+
+
+def test_oracle_reports_a_repeat_at_a_checked_jump_at_its_step():
+    expected = Verdict(PROVEN_NONHALTING, None, 69)
+    assert oracle(CYCLE_TWO_JUMPS, "0", budget=10_000) == expected
+    assert _reference(CYCLE_TWO_JUMPS, "0", 10_000, True) == expected
+    assert run(CYCLE_TWO_JUMPS, "0", budget=10_000) == Verdict(BUDGET_EXHAUSTED, None, 10_000)
+
+
+def test_oracle_memory_stays_flat_on_a_growing_loop():
+    tracemalloc.start()
+    try:
+        verdict = oracle(GROW, "", budget=200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict == Verdict(BUDGET_EXHAUSTED, None, 200_000)
+    assert peak < 1 << 20
