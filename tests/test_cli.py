@@ -344,6 +344,40 @@ def test_fingerprints_match_pinned_values(command, tmp_path, capsys):
     assert written_fingerprints(out) == {expected}
 
 
+# sha256 of every file of two graph commands, pinned to the values of the per-source
+# journey search that the one-pass arrival table replaced.
+PINNED_GRAPH_ARTIFACTS = {
+    "tvg-replicated-hypercube": (
+        ["tvg", "--family", "replicated-hypercube", "--n", "64", "--seed", "1"],
+        {"tvg.txt": "b27e0b5aa84852c5a9f9fc26abec98b320c4b373b0c0923f2ea13495f3ad6066",
+         "tvg_report.json": "bdc5eb81c0b2dfab324442cf94d6a6e357a20ace27c29dceda315c47250d6e64"},
+    ),
+    "tvg-replicated-random-regular": (
+        ["tvg", "--family", "replicated-random-regular", "--n", "64", "--seed", "1"],
+        {"tvg.txt": "3565619367d802ec3b0426e597b333cebbad54fd0ba43d7cea0e65955ed20347",
+         "tvg_report.json": "142eb2d3bc5dbdec9e0a698b24c804567f8d57f8238cb06c3ad71e30a23e3340"},
+    ),
+    "tvg-star-broadcast": (
+        ["tvg", "--family", "star-broadcast", "--n", "64", "--seed", "1"],
+        {"tvg.txt": "b6d8e032af06c028523e0065ae172734e8e3831afa6deb56843ce62ddb48af17",
+         "tvg_report.json": "26e2d03b773ef743ef50d6bc437bda6f6dc3ef0c41ad6ef51531fd5ffdebfaa2"},
+    ),
+    "central": (
+        ["central", "--family", "replicated-hypercube", "--n", "128", "--w", "010001",
+         "--seed", "1"],
+        {"central.json": "ac9150d5972a3a9ec39f8c53dba7f4e6ca530b7084b1352eae93d1dc1192e1f1"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GRAPH_ARTIFACTS))
+def test_graph_artifacts_match_pinned_digests(name, tmp_path, capsys):
+    argv, expected = PINNED_GRAPH_ARTIFACTS[name]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert digest_dir(out) == expected
+
+
 def test_seed_changes_fingerprint(tmp_path, capsys):
     a, b = tmp_path / "fa", tmp_path / "fb"
     assert main(["bb", "--max-bits", "8", "--budget", "100", "--seed", "1",

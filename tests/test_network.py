@@ -30,6 +30,7 @@ from bbnet.network import (
     run_networked,
     sample_population,
 )
+import bbnet.tvg as tvg_module
 from bbnet.tvg import Tvg, small_diameter_tvg
 
 EMPTY = decode_exact("1")
@@ -325,3 +326,24 @@ def test_find_central_node_requires_resolved_reference():
     tvg = small_diameter_tvg("star-broadcast", 4)
     with pytest.raises(NoCentralNode):
         find_central_node(tvg, (EMPTY,) * 4, grow.bits, budget=100)
+
+
+def test_find_central_node_builds_one_arrival_table_per_graph(monkeypatch):
+    builds = []
+    kernel = tvg_module._arrival_table
+
+    def counting_kernel(tvg):
+        builds.append(tvg)
+        return kernel(tvg)
+
+    monkeypatch.setattr(tvg_module, "_arrival_table", counting_kernel)
+    graph = small_diameter_tvg("replicated-hypercube", 128, seed=1)
+    population = sample_population(128, mix_seed(1, 1))
+    result = find_central_node(graph, population, "010001")
+    assert result.reverse_reach == 7
+    # The generator's diameter check, the candidate order, the reverse reach and
+    # the centrality all read the graph's one table.  Trimmed graphs that ask for
+    # arrivals get their own, once each.
+    assert sum(built is graph for built in builds) == 1
+    assert len({id(built) for built in builds}) == len(builds)
+    assert all(built.num_instants < graph.num_instants for built in builds if built is not graph)

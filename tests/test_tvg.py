@@ -1,12 +1,15 @@
 """Temporal graphs: arrival metrics vs brute force, families, file round trips."""
 
+import contextlib
 import math
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bbnet.tvg as tvg_module
 from bbnet.tvg import (
     FAMILIES,
     INFINITE,
@@ -23,6 +26,7 @@ from bbnet.tvg import (
     write_tvg,
 )
 
+import reference_tvg
 from random_graphs import random_tvg
 
 
@@ -207,3 +211,143 @@ def test_round_trip_random_graphs(seed):
         path = os.path.join(tmp, "g.txt")
         write_tvg(tvg, path)
         assert read_tvg(path) == tvg
+
+
+# ------------------------------------------------- against the replaced code
+
+REFERENCE_SIZES = (2, 3, 5, 8, 16, 33, 64, 128)
+
+
+def typed(value):
+    """The value with the type of every scalar in it, so that 2 and 2.0 differ."""
+    if isinstance(value, (list, tuple)):
+        return [typed(item) for item in value]
+    return (type(value).__name__, value)
+
+
+def public_metrics(tvg):
+    """Every public metric of every vertex, through whatever ``bbnet.tvg`` holds now."""
+    n = tvg.num_vertices
+    metrics = {
+        "earliest_arrivals": [tvg_module.earliest_arrivals(tvg, s) for s in range(n)],
+        "diffusion_time": [tvg_module.diffusion_time(tvg, s) for s in range(n)],
+        "diffusion_diameter": tvg_module.diffusion_diameter(tvg),
+        "reverse_reach_time": [tvg_module.reverse_reach_time(tvg, v) for v in range(n)],
+    }
+    if n >= 2:
+        metrics["reachability_centrality"] = [
+            tvg_module.reachability_centrality(tvg, v) for v in range(n)
+        ]
+        metrics["most_central_vertices"] = tvg_module.most_central_vertices(tvg)
+    return {name: typed(value) for name, value in metrics.items()}
+
+
+@contextlib.contextmanager
+def reference_kernels():
+    """Swap the journey search and the BFS of ``reference_tvg`` into ``bbnet.tvg``.
+
+    The reference arrivals are memoised per (graph, source), so that the n^3
+    per-source calls of the derived metrics cost list copies, as they do in
+    ``bbnet.tvg``.
+    """
+    rows = {}
+
+    def arrivals(tvg, source):
+        key = (tvg, source)
+        if key not in rows:
+            rows[key] = reference_tvg.earliest_arrivals(tvg, source)
+        return list(rows[key])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tvg_module, "earliest_arrivals", arrivals)
+        patch.setattr(tvg_module, "_static_eccentricity", reference_tvg._static_eccentricity)
+        yield
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_metrics_match_the_reference(family):
+    for n in REFERENCE_SIZES:
+        for seed in range(3):
+            graph = small_diameter_tvg(family, n, seed)
+            with reference_kernels():
+                reference_graph = small_diameter_tvg(family, n, seed)
+                expected = public_metrics(reference_graph)
+            assert reference_graph == graph
+            assert public_metrics(graph) == expected, (family, n, seed)
+
+
+def test_random_graph_metrics_match_the_reference():
+    rng = random.Random(20261021)
+    graphs = []
+    for index in range(300):
+        graph = random_tvg(rng, *((40, 8) if index % 10 == 0 else (12, 6)))
+        n, instants = graph.num_vertices, graph.num_instants
+        graphs.append(graph)
+        # Sparser, so that some sources never reach some vertices.
+        graphs.append(Tvg(n, instants, frozenset(a for a in graph.arcs if rng.random() < 0.3)))
+        # Arcs only in the later intervals.
+        graphs.append(Tvg(n, instants, frozenset(a for a in graph.arcs if a[1] >= (instants - 1) // 2)))
+    unreachable = late_only = 0
+    for graph in graphs:
+        with reference_kernels():
+            expected = public_metrics(graph)
+        assert public_metrics(graph) == expected, graph
+        unreachable += ("float", INFINITE) in expected["reverse_reach_time"]
+        late_only += bool(graph.arcs) and min(i for _, i, _ in graph.arcs) >= 2
+    assert unreachable > 100 and late_only > 100
+    for source in (-1, graphs[0].num_vertices):
+        with pytest.raises(InvalidArc):
+            earliest_arrivals(graphs[0], source)
+
+
+def test_static_eccentricity_matches_the_reference():
+    edge_sets = []
+    for n in REFERENCE_SIZES:
+        edge_sets += [(n, tvg_module._hypercube_edges(n)), (n, tvg_module._star_edges(n))]
+        edge_sets += [(n, tvg_module._random_regular_edges(n, seed)) for seed in range(3)]
+    rng = random.Random(20261022)
+    for _ in range(300):
+        graph = random_tvg(rng, max_vertices=12, max_instants=3)
+        edge_sets.append((graph.num_vertices, {(u, v) for u, _, v in graph.arcs}))
+    finite = 0
+    for n, edges in edge_sets:
+        got = tvg_module._static_eccentricity(edges, n)
+        expected = reference_tvg._static_eccentricity(edges, n)
+        if n == 1:
+            # The BFS returns the float 0.0 for a lone vertex, the rounds the int 0.
+            assert got == expected == 0
+        else:
+            assert typed(got) == typed(expected), (n, sorted(edges))
+        finite += got != INFINITE
+    assert 100 < finite < len(edge_sets) - 100
+
+
+def test_arrival_memo_stays_private():
+    graph = small_diameter_tvg("replicated-hypercube", 16, seed=0)
+    twin = Tvg(graph.num_vertices, graph.num_instants, frozenset(sorted(graph.arcs, reverse=True)))
+    assert "_arrivals" not in vars(twin)
+    empty_memo = (repr(twin), hash(twin), pickle.dumps(twin))
+
+    first = earliest_arrivals(twin, 3)
+    first[5] = -1
+    first.append(99)
+    assert "_arrivals" in vars(twin)
+    assert earliest_arrivals(twin, 3) == reference_tvg.earliest_arrivals(twin, 3)
+    assert (repr(twin), hash(twin), pickle.dumps(twin)) == empty_memo
+    assert twin == graph and graph == twin
+
+    # A pickle carries the fields only; the copy builds its own table.
+    copy = pickle.loads(pickle.dumps(twin))
+    assert copy == twin and "_arrivals" not in vars(copy)
+    assert public_metrics(copy) == public_metrics(twin) == public_metrics(graph)
+
+    # A graph trimmed the way find_central_node trims it gets its own table.
+    reach = 2
+    trimmed = Tvg(
+        num_vertices=graph.num_vertices,
+        num_instants=reach + 1,
+        arcs=frozenset(arc for arc in graph.arcs if arc[1] < reach),
+    )
+    assert earliest_arrivals(trimmed, 0) == reference_tvg.earliest_arrivals(trimmed, 0)
+    assert earliest_arrivals(trimmed, 0) != earliest_arrivals(graph, 0)
+    assert vars(trimmed)["_arrivals"] is not vars(graph)["_arrivals"]
